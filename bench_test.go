@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/harness"
-	"repro/internal/linearize"
 	"repro/internal/spec"
 	"repro/vyrd"
 )
@@ -231,34 +230,23 @@ func BenchmarkAblationQuiescentOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselineEnumerationVsVyrd pits the Section 2 strawman — naive
-// linearizability enumeration over call/return-only traces — against the
-// commit-driven VYRD check, on synthetic traces whose overlap width is
-// controlled: batches of `width` fully-overlapped inserts of distinct
-// elements, each batch separated by a quiescent observer. VYRD is linear in
-// the trace regardless of width (the commit order pins the witness);
-// the baseline's explored state set grows exponentially with the width.
-func BenchmarkBaselineEnumerationVsVyrd(b *testing.B) {
+// BenchmarkCommitDrivenCheckByWidth measures the commit-driven VYRD check
+// on synthetic traces whose overlap width is controlled: batches of `width`
+// fully-overlapped inserts of distinct elements, each batch separated by a
+// quiescent observer. The check is linear in the trace regardless of width
+// (the commit order pins the witness) — the property Section 2 sets against
+// naive linearizability enumeration, whose state set grows exponentially
+// with the width (internal/linearize's tests keep that baseline).
+func BenchmarkCommitDrivenCheckByWidth(b *testing.B) {
 	for _, width := range []int{2, 6, 10} {
 		entries := overlappedTrace(20, width)
-		b.Run(fmt.Sprintf("width-%d/vyrd-commit-driven", width), func(b *testing.B) {
+		b.Run(fmt.Sprintf("width-%d", width), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep, err := core.CheckEntries(entries, spec.NewMultiset(), core.WithMode(core.ModeIO))
 				if err != nil || !rep.Ok() {
 					b.Fatalf("%v %v", err, rep)
 				}
 			}
-		})
-		b.Run(fmt.Sprintf("width-%d/naive-enumeration", width), func(b *testing.B) {
-			var states int64
-			for i := 0; i < b.N; i++ {
-				lin := linearize.CheckBruteTrace(entries, spec.NewMultiset(), linearize.NewMultisetModel(), 0)
-				if !lin.Linearizable {
-					b.Fatalf("baseline rejected a correct trace: %s", lin)
-				}
-				states += lin.StatesExplored
-			}
-			b.ReportMetric(float64(states)/float64(b.N), "states-explored")
 		})
 	}
 }
@@ -298,16 +286,13 @@ func overlappedTrace(batches, width int) []vyrd.Entry {
 // segmented log with a truncation window while the verification thread
 // replays view refinement concurrently. Reported metrics are the log
 // entries checked per second and the peak entries retained (which stays
-// O(window) no matter how long the run is).
-// The sink=v2 / sink=v3 variants additionally attach a persisting encoder
-// sink, A/B-ing the pre-checksum and CRC-checksummed framings on the same
-// workload: the v3 append throughput must stay within 10% of v2, and
-// bytes/entry makes the 4-bytes-per-frame checksum cost visible.
+// O(window) no matter how long the run is). The sink variant additionally
+// attaches a persisting encoder sink and reports bytes/entry.
 func BenchmarkOnlinePipeline(b *testing.B) {
 	s, _ := bench.SubjectByName("Multiset-Vector")
-	run := func(b *testing.B, codec vyrd.Codec, attach bool) {
+	run := func(b *testing.B, attach bool) {
 		cfg := benchConfig(4, 2000, 1, vyrd.LevelView)
-		cfg.LogOptions = vyrd.LogOptions{SegmentSize: 256, Window: 1 << 12, SinkCodec: codec}
+		cfg.LogOptions = vyrd.LogOptions{SegmentSize: 256, Window: 1 << 12}
 		b.ReportAllocs()
 		var entries, peak, lag, sunk int64
 		for i := 0; i < b.N; i++ {
@@ -349,9 +334,8 @@ func BenchmarkOnlinePipeline(b *testing.B) {
 			b.ReportMetric(float64(sunk)/float64(entries), "bytes/entry")
 		}
 	}
-	b.Run("nosink", func(b *testing.B) { run(b, vyrd.CodecBinary, false) })
-	b.Run("sink=v2", func(b *testing.B) { run(b, vyrd.CodecBinaryV2, true) })
-	b.Run("sink=v3", func(b *testing.B) { run(b, vyrd.CodecBinary, true) })
+	b.Run("nosink", func(b *testing.B) { run(b, false) })
+	b.Run("sink", func(b *testing.B) { run(b, true) })
 }
 
 // countingWriter discards its input, keeping only the byte count — the
@@ -364,81 +348,67 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 // codecTrace records one BLinkTree workload and returns the entries plus
-// both persisted encodings of them — the shared fixture for the codec and
-// offline-replay A/B benchmarks.
-func codecTrace(b *testing.B) (entries []vyrd.Entry, binBytes, gobBytes []byte) {
+// their persisted encoding — the shared fixture for the codec and
+// offline-replay benchmarks.
+func codecTrace(b *testing.B) (entries []vyrd.Entry, stream []byte) {
 	b.Helper()
 	s, _ := bench.SubjectByName("BLinkTree")
 	res := harness.Run(s.Correct, benchConfig(8, 500, 1, vyrd.LevelView))
 	entries = res.Log.Snapshot()
-	for _, c := range []vyrd.Codec{vyrd.CodecBinary, vyrd.CodecGob} {
-		var buf bytes.Buffer
-		enc := event.NewEncoderCodec(&buf, c)
-		for _, e := range entries {
-			if err := enc.Encode(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if c == vyrd.CodecBinary {
-			binBytes = buf.Bytes()
-		} else {
-			gobBytes = buf.Bytes()
+	var buf bytes.Buffer
+	enc := event.NewEncoder(&buf)
+	for _, e := range entries {
+		if err := enc.Encode(e); err != nil {
+			b.Fatal(err)
 		}
 	}
-	return entries, binBytes, gobBytes
+	return entries, buf.Bytes()
 }
 
-// BenchmarkCodecGobVsBinary is the pure serialization A/B behind the
-// FormatVersion 2 switch: encode and decode the same recorded trace with
-// the legacy gob codec and the framed binary codec. bytes/entry makes the
-// size cost visible alongside the speed and allocation differences.
-func BenchmarkCodecGobVsBinary(b *testing.B) {
-	entries, binBytes, gobBytes := codecTrace(b)
-	streams := map[string][]byte{"binary": binBytes, "gob": gobBytes}
-	for _, c := range []vyrd.Codec{vyrd.CodecBinary, vyrd.CodecGob} {
-		c := c
-		b.Run("encode/"+c.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				enc := event.NewEncoderCodec(io.Discard, c)
-				for _, e := range entries {
-					if err := enc.Encode(e); err != nil {
-						b.Fatal(err)
-					}
+// BenchmarkCodec is the pure serialization cost: encode and decode one
+// recorded trace. bytes/entry makes the size visible alongside the speed
+// and allocations.
+func BenchmarkCodec(b *testing.B) {
+	entries, stream := codecTrace(b)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enc := event.NewEncoder(io.Discard)
+			for _, e := range entries {
+				if err := enc.Encode(e); err != nil {
+					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(streams[c.String()]))/float64(len(entries)), "bytes/entry")
-		})
-		b.Run("decode/"+c.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			data := streams[c.String()]
-			for i := 0; i < b.N; i++ {
-				dec := event.NewDecoderCodec(bytes.NewReader(data), c)
-				n := 0
-				for {
-					if _, err := dec.Decode(); err == io.EOF {
-						break
-					} else if err != nil {
-						b.Fatal(err)
-					}
-					n++
+		}
+		b.ReportMetric(float64(len(stream))/float64(len(entries)), "bytes/entry")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dec := event.NewDecoder(bytes.NewReader(stream))
+			n := 0
+			for {
+				if _, err := dec.Decode(); err == io.EOF {
+					break
+				} else if err != nil {
+					b.Fatal(err)
 				}
-				if n != len(entries) {
-					b.Fatalf("decoded %d of %d entries", n, len(entries))
-				}
+				n++
 			}
-		})
-	}
+			if n != len(entries) {
+				b.Fatalf("decoded %d of %d entries", n, len(entries))
+			}
+		}
+	})
 }
 
 // BenchmarkOfflineReplay measures end-to-end offline verification from a
-// persisted stream — decode plus view-mode check — across the three replay
-// paths: the legacy gob stream decoded sequentially, the binary stream
-// decoded sequentially, and the binary stream decoded on the parallel
-// worker pool feeding the sequential checker (CheckStream). The headline
-// metric is entries/sec of persisted log replayed.
+// persisted stream — decode plus view-mode check — with the stream decoded
+// sequentially and on the parallel worker pool feeding the sequential
+// checker (CheckStream). The headline metric is entries/sec of persisted
+// log replayed.
 func BenchmarkOfflineReplay(b *testing.B) {
-	entries, binBytes, gobBytes := codecTrace(b)
+	entries, stream := codecTrace(b)
 	s, _ := bench.SubjectByName("BLinkTree")
 	check := func(b *testing.B, rep *vyrd.Report, err error) {
 		if err != nil {
@@ -451,30 +421,18 @@ func BenchmarkOfflineReplay(b *testing.B) {
 	opts := func() []vyrd.Option {
 		return []vyrd.Option{vyrd.WithMode(vyrd.ModeView), vyrd.WithReplayer(s.Correct.NewReplayer())}
 	}
-	b.Run("gob-sequential", func(b *testing.B) {
+	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			decoded, err := vyrd.ReadLogCodec(bytes.NewReader(gobBytes), vyrd.CodecGob)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err := vyrd.CheckEntries(decoded, s.Correct.NewSpec(), opts()...)
+			rep, err := vyrd.CheckStream(bytes.NewReader(stream), 1, s.Correct.NewSpec(), opts()...)
 			check(b, rep, err)
 		}
 		b.ReportMetric(float64(len(entries)*b.N)/b.Elapsed().Seconds(), "entries/sec")
 	})
-	b.Run("binary-sequential", func(b *testing.B) {
+	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rep, err := vyrd.CheckStream(bytes.NewReader(binBytes), 1, s.Correct.NewSpec(), opts()...)
-			check(b, rep, err)
-		}
-		b.ReportMetric(float64(len(entries)*b.N)/b.Elapsed().Seconds(), "entries/sec")
-	})
-	b.Run("binary-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rep, err := vyrd.CheckStream(bytes.NewReader(binBytes), 0, s.Correct.NewSpec(), opts()...)
+			rep, err := vyrd.CheckStream(bytes.NewReader(stream), 0, s.Correct.NewSpec(), opts()...)
 			check(b, rep, err)
 		}
 		b.ReportMetric(float64(len(entries)*b.N)/b.Elapsed().Seconds(), "entries/sec")

@@ -23,8 +23,8 @@
 // -online checks concurrently with the workload on a
 // verification goroutine instead of offline from the recorded log; -save
 // persists the log for later offline checking with -load ("-load -" streams
-// the log from stdin). Loaded binary logs decode on a parallel worker pool
-// (-decoders); version-1 gob artifacts are read with -codec gob.
+// the log from stdin). Loaded logs decode on a parallel worker pool
+// (-decoders); format versions 2 and 3 are read, anything else is refused.
 //
 // A log left behind by a crashed producer is repaired with -recover: the
 // torn tail past the last valid frame is truncated in place and the
@@ -70,9 +70,7 @@ func main() {
 		save    = flag.String("save", "", "persist the recorded log to this file")
 		load    = flag.String("load", "", "skip the run; offline-check a previously saved log")
 		recov   = flag.String("recover", "", "repair a crashed producer's log in place (truncate the torn tail) before any -load")
-		shards  = flag.Int("shards", 0, "capture shards for the live run (0/1 = single-counter log; >1 = sharded per-core capture, merged for checking)")
-		codec   = flag.String("codec", "binary", "persisted log codec for -load: binary (current) or gob (version-1 artifacts)")
-		workers = flag.Int("decoders", 0, "-load decode workers for binary logs (0 = GOMAXPROCS, 1 = sequential)")
+		workers = flag.Int("decoders", 0, "-load decode workers (0 = GOMAXPROCS, 1 = sequential)")
 		dump    = flag.Bool("dump", false, "print the witness interleaving before the report (Section 4.1 debugging view)")
 		quiesc  = flag.Bool("quiescent", false, "compare views only at quiescent states (the commit-atomicity ablation of Section 8)")
 		asJSON  = flag.Bool("json", false, "emit the report as JSON")
@@ -193,7 +191,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		if *codec == "binary" && !*dump && !lin && !temporal {
+		if !*dump && !lin && !temporal {
 			// Stream straight into the checker: the parallel decode pool
 			// feeds the sequential checker without materializing the log.
 			report, err := vyrd.CheckStream(f, *workers, target.NewSpec(), opts...)
@@ -202,19 +200,9 @@ func main() {
 			}
 			finish(report)
 		}
-		var entries []vyrd.Entry
-		var err error
-		switch *codec {
-		case "binary":
-			// The framed binary format decodes on a worker pool, re-sequenced
-			// into log order before checking.
-			entries, err = vyrd.ReadLogParallel(f, *workers)
-		case "gob":
-			entries, err = vyrd.ReadLogCodec(f, vyrd.CodecGob)
-		default:
-			fmt.Fprintf(os.Stderr, "vyrd: unknown codec %q (binary or gob)\n", *codec)
-			os.Exit(2)
-		}
+		// Frames decode on a worker pool, re-sequenced into log order
+		// before checking.
+		entries, err := vyrd.ReadLogParallel(f, *workers)
 		f.Close()
 		if err != nil {
 			fatal(err)
@@ -253,11 +241,7 @@ func main() {
 	// With -save the log runs fail-stop: a sink that can no longer persist
 	// (disk full, injected fault) stops the producer at its next append
 	// instead of racing ahead of a file that silently stopped growing.
-	// With -shards N the capture layer is the sharded shard group: each
-	// harness thread appends to its own shard and the checker (and any
-	// -save sink) reads the k-way merged total order, so verdicts and the
-	// on-disk format are unchanged.
-	log := vyrd.NewLogWith(cfg.Level, vyrd.LogOptions{FailStop: *save != "", Shards: *shards})
+	log := vyrd.NewLogWith(cfg.Level, vyrd.LogOptions{FailStop: *save != ""})
 	if *save != "" {
 		f, err := fsys.Create(*save)
 		if err != nil {

@@ -51,22 +51,29 @@ func streamLog(t *testing.T, violate bool) []byte {
 }
 
 // TestLoadStdinExitCodes pins the shell contract of `vyrd -load -`: the
-// framed binary log streams in on stdin, and the process exits 0 on a
-// clean check and 1 on a refinement violation.
+// framed log streams in on stdin, and the process exits 0 on a clean
+// check, 1 on a refinement violation, and 2 — naming the version found and
+// the versions read — on a version-1 artifact of the retired gob encoding.
 func TestLoadStdinExitCodes(t *testing.T) {
+	v1, err := os.ReadFile("../../vyrd/testdata/fig6_v1_gob.log")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name    string
-		violate bool
-		want    int
+		name  string
+		stdin []byte
+		want  int
+		says  string
 	}{
-		{"clean", false, 0},
-		{"violation", true, 1},
+		{"clean", streamLog(t, false), 0, ""},
+		{"violation", streamLog(t, true), 1, ""},
+		{"version-1", v1, 2, "stream has format version 1, this build reads versions 2-3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0],
 				"-subject", "Multiset-Array", "-mode", "io", "-load", "-")
 			cmd.Env = append(os.Environ(), "VYRD_MAIN_RUN=1")
-			cmd.Stdin = bytes.NewReader(streamLog(t, tc.violate))
+			cmd.Stdin = bytes.NewReader(tc.stdin)
 			out, err := cmd.CombinedOutput()
 			code := 0
 			if ee, ok := err.(*exec.ExitError); ok {
@@ -74,8 +81,8 @@ func TestLoadStdinExitCodes(t *testing.T) {
 			} else if err != nil {
 				t.Fatalf("re-exec: %v\n%s", err, out)
 			}
-			if code != tc.want {
-				t.Errorf("exit code %d, want %d\noutput:\n%s", code, tc.want, out)
+			if code != tc.want || !bytes.Contains(out, []byte(tc.says)) {
+				t.Errorf("exit code %d, want %d saying %q\noutput:\n%s", code, tc.want, tc.says, out)
 			}
 		})
 	}

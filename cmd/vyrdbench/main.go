@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		table      = flag.String("table", "all", "which table to regenerate: 1, 2, 3, log, explore, durability, linearize, append, fleet, ltl or all")
+		table      = flag.String("table", "all", "which table to regenerate: 1, 2, 3, log, explore, durability, linearize, fleet, ltl or all")
 		reps       = flag.Int("reps", 0, "repetitions per cell (0 = per-table default)")
 		ops        = flag.Int("ops", 0, "Table 1/2 and log-pipeline ops per thread (0 = default)")
 		scale      = flag.Int("scale", 0, "Table 3 method-count scale factor (0 = default)")
@@ -38,7 +38,6 @@ func main() {
 		subject    = flag.String("subject", "", "restrict Table 1 to one subject")
 		window     = flag.Int("window", 0, "log-pipeline truncation window in entries (0 = default)")
 		budget     = flag.Int("budget", 2000, "exploration schedule budget per subject")
-		shards     = flag.Int("shards", 0, "append-scaling shard count for the sharded rows (0 = one per proc)")
 		sessions   = flag.Int("sessions", 0, "fleet-table concurrent session target (0 = default 1000)")
 		workers    = flag.Int("workers", 0, "fleet-table checker pool width (0 = 2×GOMAXPROCS)")
 		jsonPath   = flag.String("json", "", "also write the rows as a JSON snapshot to this file")
@@ -163,16 +162,6 @@ func main() {
 		bench.WriteLinearizeMemoTable(os.Stdout, mrows)
 	}
 
-	runAppendScaling := func() {
-		cfg := bench.DefaultAppendScalingConfig()
-		cfg.Shards = *shards
-		if *ops > 0 {
-			cfg.Entries = *ops
-		}
-		snap.AppendScaling = bench.AppendScaling(cfg)
-		bench.WriteAppendScaling(os.Stdout, cfg, snap.AppendScaling)
-	}
-
 	runFleet := func() {
 		cfg := bench.DefaultFleetConfig()
 		cfg.Seed = *seed
@@ -229,8 +218,9 @@ func main() {
 		if *ops > 0 {
 			cfg.OpsPerThread = *ops
 		}
-		snap.Durability = bench.Durability(cfg)
-		bench.WriteDurability(os.Stdout, cfg, snap.Durability)
+		row := bench.Durability(cfg)
+		snap.Durability = &row
+		bench.WriteDurability(os.Stdout, cfg, row)
 	}
 
 	switch *table {
@@ -248,8 +238,6 @@ func main() {
 		runDurability()
 	case "linearize":
 		runLinearize()
-	case "append":
-		runAppendScaling()
 	case "fleet":
 		runFleet()
 	case "ltl":
@@ -269,13 +257,11 @@ func main() {
 		fmt.Println()
 		runLinearize()
 		fmt.Println()
-		runAppendScaling()
-		fmt.Println()
 		runFleet()
 		fmt.Println()
 		runLTL()
 	default:
-		fmt.Fprintf(os.Stderr, "vyrdbench: unknown table %q (1, 2, 3, log, explore, durability, linearize, append, fleet, ltl or all)\n", *table)
+		fmt.Fprintf(os.Stderr, "vyrdbench: unknown table %q (1, 2, 3, log, explore, durability, linearize, fleet, ltl or all)\n", *table)
 		os.Exit(2)
 	}
 

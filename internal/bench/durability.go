@@ -13,16 +13,13 @@ import (
 	"repro/vyrd"
 )
 
-// DurabilityConfig parameterizes the sink-codec A/B behind the
-// FormatVersion 3 switch: the same seeded workload recorded through the
-// persisting encoder sink in the pre-checksum (v2) and CRC-checksummed
-// (v3) framings. The claim the rows defend: per-frame checksums cost four
-// bytes per frame and leave append throughput within 10% of v2.
+// DurabilityConfig parameterizes the durability measurement: a seeded
+// workload recorded through the persisting encoder sink (checksummed
+// frames, sync markers), then scanned back through the recovery path.
 type DurabilityConfig struct {
 	Threads      int
 	OpsPerThread int
-	// SyncEvery is the sync-marker/fsync cadence in entries (v3 only; the
-	// v2 framing has no markers, so the cadence degrades to plain flushes).
+	// SyncEvery is the sync-marker/fsync cadence in entries.
 	SyncEvery int
 	Seed      int64
 }
@@ -33,11 +30,11 @@ func DefaultDurabilityConfig() DurabilityConfig {
 	return DurabilityConfig{Threads: 4, OpsPerThread: 4000, SyncEvery: 1024, Seed: 1}
 }
 
-// DurabilityRow is one codec's outcome, plus the recovery scan rate over
-// the stream it produced (the torn-tail scanner reads every frame, so its
-// throughput is the recovery-time bound for a crashed log of this shape).
+// DurabilityRow is the recording's outcome, plus the recovery scan rate
+// over the stream it produced (the torn-tail scanner reads every frame, so
+// its throughput is the recovery-time bound for a crashed log of this
+// shape).
 type DurabilityRow struct {
-	Codec         string
 	Methods       int64
 	Entries       int64
 	Bytes         int64
@@ -47,68 +44,55 @@ type DurabilityRow struct {
 	RecoverMBps   float64
 }
 
-// Durability records the workload once per codec and scans each stream
-// back through the recovery path.
-func Durability(cfg DurabilityConfig) []DurabilityRow {
-	t := msvector.Target(msvector.BugNone)
-	rows := make([]DurabilityRow, 0, 2)
-	for _, codec := range []vyrd.Codec{vyrd.CodecBinaryV2, vyrd.CodecBinary} {
-		hcfg := baseConfig(cfg.Threads, cfg.OpsPerThread, cfg.Seed, vyrd.LevelView)
-		hcfg.LogOptions = vyrd.LogOptions{SyncEvery: cfg.SyncEvery, SinkCodec: codec}
-		log := vyrd.NewLogWith(hcfg.Level, hcfg.LogOptions)
-		var buf bytes.Buffer
-		if err := log.AttachSink(&buf); err != nil {
-			panic("bench: " + err.Error())
-		}
-		res := harness.RunOnLog(t, hcfg, log)
-		if err := log.SinkErr(); err != nil {
-			panic("bench: sink: " + err.Error())
-		}
-		entries := log.Stats().Appends
-		row := DurabilityRow{
-			Codec:   codec.String(),
-			Methods: res.Methods,
-			Entries: entries,
-			Bytes:   int64(buf.Len()),
-			Elapsed: res.Elapsed,
-		}
-		if s := res.Elapsed.Seconds(); s > 0 {
-			row.EntriesPerSec = float64(entries) / s
-		}
-		if entries > 0 {
-			row.BytesPerEntry = float64(buf.Len()) / float64(entries)
-		}
-		start := time.Now()
-		recovered, rep, err := wal.RecoverReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			panic("bench: recover: " + err.Error())
-		}
-		if !rep.Clean() || int64(len(recovered)) != entries {
-			panic(fmt.Sprintf("bench: recovery of an intact %s stream kept %d of %d entries",
-				codec, len(recovered), entries))
-		}
-		if s := time.Since(start).Seconds(); s > 0 {
-			row.RecoverMBps = float64(buf.Len()) / (1 << 20) / s
-		}
-		rows = append(rows, row)
+// Durability records the workload and scans the stream back through the
+// recovery path.
+func Durability(cfg DurabilityConfig) DurabilityRow {
+	hcfg := baseConfig(cfg.Threads, cfg.OpsPerThread, cfg.Seed, vyrd.LevelView)
+	hcfg.LogOptions = vyrd.LogOptions{SyncEvery: cfg.SyncEvery}
+	log := vyrd.NewLogWith(hcfg.Level, hcfg.LogOptions)
+	var buf bytes.Buffer
+	if err := log.AttachSink(&buf); err != nil {
+		panic("bench: " + err.Error())
 	}
-	return rows
+	res := harness.RunOnLog(msvector.Target(msvector.BugNone), hcfg, log)
+	if err := log.SinkErr(); err != nil {
+		panic("bench: sink: " + err.Error())
+	}
+	entries := log.Stats().Appends
+	row := DurabilityRow{
+		Methods: res.Methods,
+		Entries: entries,
+		Bytes:   int64(buf.Len()),
+		Elapsed: res.Elapsed,
+	}
+	if s := res.Elapsed.Seconds(); s > 0 {
+		row.EntriesPerSec = float64(entries) / s
+	}
+	if entries > 0 {
+		row.BytesPerEntry = float64(buf.Len()) / float64(entries)
+	}
+	start := time.Now()
+	recovered, rep, err := wal.RecoverReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		panic("bench: recover: " + err.Error())
+	}
+	if !rep.Clean() || int64(len(recovered)) != entries {
+		panic(fmt.Sprintf("bench: recovery of an intact stream kept %d of %d entries",
+			len(recovered), entries))
+	}
+	if s := time.Since(start).Seconds(); s > 0 {
+		row.RecoverMBps = float64(buf.Len()) / (1 << 20) / s
+	}
+	return row
 }
 
-// WriteDurability renders the sink-codec A/B.
-func WriteDurability(w io.Writer, cfg DurabilityConfig, rows []DurabilityRow) {
-	fmt.Fprintf(w, "Durability: persisting sink codec A/B, sync cadence %d entries\n", cfg.SyncEvery)
+// WriteDurability renders the durability row.
+func WriteDurability(w io.Writer, cfg DurabilityConfig, r DurabilityRow) {
+	fmt.Fprintf(w, "Durability: persisting sink, sync cadence %d entries\n", cfg.SyncEvery)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Codec\tMethods\tEntries\tBytes\tElapsed\tEntries/s\tBytes/entry\tRecover MB/s")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%s\t%.0f\t%.2f\t%.1f\n",
-			r.Codec, r.Methods, r.Entries, r.Bytes, r.Elapsed.Round(time.Millisecond),
-			r.EntriesPerSec, r.BytesPerEntry, r.RecoverMBps)
-	}
+	fmt.Fprintln(tw, "Methods\tEntries\tBytes\tElapsed\tEntries/s\tBytes/entry\tRecover MB/s")
+	fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%.0f\t%.2f\t%.1f\n",
+		r.Methods, r.Entries, r.Bytes, r.Elapsed.Round(time.Millisecond),
+		r.EntriesPerSec, r.BytesPerEntry, r.RecoverMBps)
 	tw.Flush()
-	if len(rows) == 2 && rows[0].EntriesPerSec > 0 {
-		fmt.Fprintf(w, "  v3/v2 append throughput: %.3f; checksum cost: %+.2f bytes/entry\n",
-			rows[1].EntriesPerSec/rows[0].EntriesPerSec,
-			rows[1].BytesPerEntry-rows[0].BytesPerEntry)
-	}
 }

@@ -64,7 +64,7 @@ func DifferentialScheduled(subject string, t harness.Target, entries []vyrd.Entr
 		return DifferentialVerdict{}, err
 	}
 
-	lg := wal.Open(wal.LevelView, wal.Options{Window: 1 << 12})
+	lg := wal.NewWithOptions(wal.LevelView, wal.Options{Window: 1 << 12})
 	cur := lg.Reader()
 	var recv atomic.Int64
 	task := sched.Register(subject, cur, &multiEngine{m: m, cur: cur}, recv.Load, nil)

@@ -110,22 +110,6 @@ func Differential(subject string, t harness.Target, entries []vyrd.Entry, repro 
 // concurrently, each on its own goroutine — the deployment shape of
 // running both verdict engines against one live execution.
 func DifferentialOnline(subject string, t harness.Target, entries []vyrd.Entry, repro string) (DifferentialVerdict, error) {
-	return DifferentialOnlineOn(subject, t, entries, repro, wal.Options{Window: 1 << 12})
-}
-
-// DifferentialOnlineOn is DifferentialOnline over an explicitly configured
-// capture backend — the seam the sharded-vs-global parity suite drives:
-// the same entries replayed through a single-counter log and a sharded
-// shard group must produce the same verdicts. The replay producer below
-// is one goroutine feeding an already-ordered stream, so a sharded
-// backend is forced into ticket mode: the recorded order is the causal
-// order, and timestamp merge keys could swap entries whose appends land
-// in one clock tick on different shards (live capture orders them by the
-// subject's own lock handoffs; a replay loop has no such handoffs).
-func DifferentialOnlineOn(subject string, t harness.Target, entries []vyrd.Entry, repro string, lopts wal.Options) (DifferentialVerdict, error) {
-	if lopts.Shards > 1 {
-		lopts.Tickets = true
-	}
 	sp, err := LinearizeSpec(subject)
 	if err != nil {
 		return DifferentialVerdict{}, err
@@ -144,10 +128,7 @@ func DifferentialOnlineOn(subject string, t harness.Target, entries []vyrd.Entry
 	if err != nil {
 		return DifferentialVerdict{}, err
 	}
-	if lopts.Window <= 0 {
-		lopts.Window = 1 << 12
-	}
-	lg := wal.Open(wal.LevelView, lopts)
+	lg := wal.NewWithOptions(wal.LevelView, wal.Options{Window: 1 << 12})
 	// Register the reader before the producer starts: an unobserved window
 	// log is a bounded recent-suffix buffer and may release its prefix.
 	cur := lg.Reader()
@@ -179,14 +160,6 @@ func DifferentialOnlineOn(subject string, t harness.Target, entries []vyrd.Entry
 // CleanRun produces one uncontrolled run of the subject's correct
 // implementation at the I/O level, for clean-log differential rows.
 func CleanRun(s Subject, seed int64) []vyrd.Entry {
-	return CleanRunOn(s, seed, vyrd.LogOptions{})
-}
-
-// CleanRunOn is CleanRun over an explicitly configured capture backend —
-// with LogOptions.Shards > 1 the harness threads append through
-// shard-pinned probes and the returned snapshot is the k-way merged total
-// order, the live-capture half of the sharded parity suite.
-func CleanRunOn(s Subject, seed int64, lopts vyrd.LogOptions) []vyrd.Entry {
 	res := harness.Run(s.Correct, harness.Config{
 		Threads:      3,
 		OpsPerThread: 24,
@@ -194,7 +167,6 @@ func CleanRunOn(s Subject, seed int64, lopts vyrd.LogOptions) []vyrd.Entry {
 		Shrink:       true,
 		Seed:         seed,
 		Level:        explore.Level(s.Correct),
-		LogOptions:   lopts,
 	})
 	return res.Log.Snapshot()
 }

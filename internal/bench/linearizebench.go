@@ -14,38 +14,25 @@ import (
 
 // LinearizeConfig shapes the linearizability scaling table: synthetic
 // java.util.Vector histories with a controlled overlap width, checked by
-// the strawman brute-force search, the production engine, and commit-pinned
-// I/O refinement over the same log.
+// the linearizability engine and by commit-pinned I/O refinement over the
+// same log. (The Section 2 strawman the engine replaces is test code in
+// internal/linearize; TestEngineBeatsBruteAtWidth16 pins the crossover.)
 type LinearizeConfig struct {
 	// Widths lists the overlap widths to measure (concurrently open
 	// AddElement executions per history).
 	Widths []int
-	// BruteBudget bounds the strawman's state exploration; histories it
-	// cannot decide within the budget are reported as aborted. This is the
-	// table's stand-in for "did not finish": the strawman's state count
-	// grows with the number of distinct interleavings (w! for w distinct
-	// appends), so past width ~8 no practical budget decides it.
-	BruteBudget int64
 }
 
-// DefaultLinearizeConfig returns the checked-in table shape: widths 2-32,
-// with a strawman budget generous enough to decide width 8 (~10^5 states)
-// and hopeless for width 12 and beyond (>10^8 states).
+// DefaultLinearizeConfig returns the checked-in table shape: widths 2-32.
 func DefaultLinearizeConfig() LinearizeConfig {
-	return LinearizeConfig{
-		Widths:      []int{2, 4, 6, 8, 12, 16, 24, 32},
-		BruteBudget: 1 << 20,
-	}
+	return LinearizeConfig{Widths: []int{2, 4, 6, 8, 12, 16, 24, 32}}
 }
 
-// LinearizeRow is one overlap width's measurement across the three
+// LinearizeRow is one overlap width's measurement across the two
 // checkers. Times are wall-clock for one verdict over the same history.
 type LinearizeRow struct {
 	Width        int
-	Ops          int   // method executions in the history
-	BruteStates  int64 // states the strawman explored before deciding or aborting
-	BruteNS      int64
-	BruteAborted bool // strawman hit its budget; verdict unknown
+	Ops          int // method executions in the history
 	EngineStates int64
 	EngineNS     int64
 	RefinementNS int64 // commit-pinned I/O refinement over the same entries
@@ -56,9 +43,8 @@ type LinearizeRow struct {
 // before any returns, each committing (for the refinement column; the
 // linearizability checkers never look at commits) and returning, then a
 // quiescent Size observer pinning the final length. Distinct elements make
-// every interleaving a distinct specification state — the strawman's
-// worst case and exactly the history family of the paper's Section 2
-// scaling argument.
+// every interleaving a distinct specification state — exactly the history
+// family of the paper's Section 2 scaling argument.
 func linearizeHistory(width int) []vyrd.Entry {
 	lg := vyrd.NewLog(vyrd.LevelIO)
 	invs := make([]*vyrd.Invocation, width)
@@ -76,7 +62,7 @@ func linearizeHistory(width int) []vyrd.Entry {
 	return lg.Snapshot()
 }
 
-// LinearizeTable measures the three checkers over one synthetic history per
+// LinearizeTable measures the two checkers over one synthetic history per
 // width. The histories are deterministic, so rows are reproducible
 // modulo machine speed.
 func LinearizeTable(cfg LinearizeConfig) ([]LinearizeRow, error) {
@@ -86,15 +72,6 @@ func LinearizeTable(cfg LinearizeConfig) ([]LinearizeRow, error) {
 		row := LinearizeRow{Width: w, Ops: w + 1}
 
 		start := time.Now()
-		br := linearize.CheckBruteTrace(entries, spec.NewVector(), linearize.NewVectorModel(), cfg.BruteBudget)
-		row.BruteNS = time.Since(start).Nanoseconds()
-		row.BruteStates = br.StatesExplored
-		row.BruteAborted = br.Aborted
-		if !br.Aborted && !br.Linearizable {
-			return nil, fmt.Errorf("bench: strawman refuted a correct width-%d history", w)
-		}
-
-		start = time.Now()
 		en := linearize.CheckTrace(entries, linearize.VectorSpec(), linearize.Options{})
 		row.EngineNS = time.Since(start).Nanoseconds()
 		row.EngineStates = en.StatesExplored
@@ -306,20 +283,15 @@ func WriteLinearizeParallelTable(w io.Writer, prows []LinearizeParallelRow) {
 	tw.Flush()
 }
 
-// WriteLinearizeTable renders the scaling rows: the strawman's state count
-// explodes with width until it aborts, while the engine and the
-// commit-pinned refinement checker stay effectively linear.
+// WriteLinearizeTable renders the scaling rows: the engine and the
+// commit-pinned refinement checker stay effectively linear in the width.
 func WriteLinearizeTable(w io.Writer, rows []LinearizeRow) {
-	fmt.Fprintln(w, "Linearizability checking: strawman vs engine vs refinement (synthetic Vector, w overlapped appends)")
+	fmt.Fprintln(w, "Linearizability checking: engine vs refinement (synthetic Vector, w overlapped appends)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Width\tOps\tStrawman states\tStrawman time\tEngine states\tEngine time\tRefinement time")
+	fmt.Fprintln(tw, "Width\tOps\tEngine states\tEngine time\tRefinement time")
 	for _, r := range rows {
-		brute := fmt.Sprintf("%v", time.Duration(r.BruteNS).Round(time.Microsecond))
-		if r.BruteAborted {
-			brute = fmt.Sprintf("DNF (>%s)", time.Duration(r.BruteNS).Round(time.Microsecond))
-		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%d\t%v\t%v\n",
-			r.Width, r.Ops, r.BruteStates, brute,
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%v\t%v\n",
+			r.Width, r.Ops,
 			r.EngineStates, time.Duration(r.EngineNS).Round(time.Microsecond),
 			time.Duration(r.RefinementNS).Round(time.Microsecond))
 	}

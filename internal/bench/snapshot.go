@@ -21,7 +21,7 @@ type Snapshot struct {
 	Table3      []Table3Row      `json:",omitempty"`
 	LogPipeline []LogPipelineRow `json:",omitempty"`
 	Explore     []ExploreRow     `json:",omitempty"`
-	Durability  []DurabilityRow  `json:",omitempty"`
+	Durability  *DurabilityRow   `json:",omitempty"`
 	Linearize   []LinearizeRow   `json:",omitempty"`
 	// LinearizeParallel is the worker-pool width sweep over one partitioned
 	// history (rides along with -table linearize).
@@ -29,9 +29,6 @@ type Snapshot struct {
 	// LinearizeMemo is the segment memo cache hit-rate measurement over
 	// repeated identical histories (rides along with -table linearize).
 	LinearizeMemo []LinearizeMemoRow `json:",omitempty"`
-	// AppendScaling is the sharded-vs-global capture throughput grid
-	// (-table append).
-	AppendScaling []AppendScalingRow `json:",omitempty"`
 	// Fleet is the multi-session capacity row: concurrent sessions held
 	// open against one scheduler-mode server and the aggregate checked
 	// entries/sec (-table fleet).

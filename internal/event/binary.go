@@ -91,21 +91,6 @@ func appendFrame(buf []byte, e Entry) ([]byte, error) {
 	return sealFrameCRC(buf, start, body), nil
 }
 
-// appendFrameNoCRC appends the version-2 frame shape (no checksum),
-// byte-identical to the historical v2 encoder's output.
-func appendFrameNoCRC(buf []byte, e Entry) ([]byte, error) {
-	// Encode the payload after a reserved length prefix, then move it into
-	// place: payload sizes are small, so re-copying beats encoding twice.
-	start := len(buf)
-	buf = append(buf, 0, 0, 0)
-	body := len(buf)
-	var err error
-	if buf, err = appendPayload(buf, e); err != nil {
-		return buf, err
-	}
-	return sealFrame(buf, start, body), nil
-}
-
 // sealFrame writes the length prefix for the payload occupying buf[body:]
 // into the space reserved at buf[start:body] (shifting the payload when the
 // uvarint needs a different width) and returns the framed buffer.

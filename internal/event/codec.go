@@ -10,98 +10,57 @@ import (
 
 // The paper's logging mechanism uses the binary object serialization of the
 // .NET platform to restore record objects as they were saved at runtime
-// (Section 6.1). This package plays the same role with three codecs:
+// (Section 6.1). This package plays the same role with one stream format:
+// a fixed header (magic + format version) followed by hand-rolled
+// length-prefixed frames (see binary.go), each with a trailing CRC32-C, and
+// periodic sync markers for crash recovery. Every record is an independent
+// frame, so offline replay can scan frame boundaries cheaply and decode
+// frames on a worker pool (see StreamParallel).
 //
-//   - CodecBinary (format version 3, the default): the hand-rolled
-//     length-prefixed framed encoding (see binary.go) with a trailing
-//     CRC32-C per frame and periodic sync markers for crash recovery.
-//     Every record is an independent frame, so offline replay can scan
-//     frame boundaries cheaply and decode frames on a worker pool (see
-//     StreamParallel).
-//   - CodecBinaryV2 (format version 2): the same framing without checksums
-//     or markers; kept for regenerating old artifacts and as the CRC
-//     overhead A/B point in benchmarks.
-//   - CodecGob (format version 1): the original encoding/gob stream, kept
-//     for reading old artifacts.
-//
-// Persisted streams start with a fixed header (magic + format version); the
-// version byte identifies the codec. The binary decoders read both versions
-// 2 and 3 (a per-stream flag tracks whether frames carry checksums), so old
-// v2 artifacts stay readable. Entry layout drift — a field added to Entry,
-// a renumbered kind — fails decoding with an explicit "log format version
-// mismatch" instead of an opaque decode error deep in the stream. Bump
-// FormatVersion whenever the binary wire shape of Entry changes; committed
-// artifacts are regenerated with `go generate ./vyrd` (see cmd/genfig6).
+// The encoder writes format version 3 only. The decoders also read version
+// 2 — the same framing without checksums or markers; a per-stream flag is
+// all that costs — so old artifacts stay readable. Anything else, including
+// the retired gob version 1, fails with ErrFormatMismatch instead of an
+// opaque decode error deep in the stream. Bump FormatVersion whenever the
+// binary wire shape of Entry changes; committed artifacts are regenerated
+// with `go generate ./vyrd` (see cmd/genfig6).
 
-// FormatVersion is the current (binary-codec) log stream format. Version
+// FormatVersion is the log stream format the encoder writes. Version
 // history:
 //
-//	1: initial versioned format (header + gob-encoded Entry records)
-//	2: length-prefixed framed binary records (binary.go), gob retained
-//	   behind CodecGob for old-log reads and A/B benchmarks
+//	1: header + gob-encoded Entry records; retired, no longer readable
+//	2: length-prefixed framed binary records (binary.go); read-only
 //	3: version 2 plus a trailing CRC32-C per frame and sync marker frames,
-//	   enabling torn-tail recovery (wal.Recover); version 2 stays readable
+//	   enabling torn-tail recovery (wal.Recover)
 const FormatVersion = 3
 
-// formatVersionGob is the stream version written and read by CodecGob.
-const formatVersionGob = 1
-
-// formatVersionBinaryV2 is the pre-checksum framed binary stream version.
-const formatVersionBinaryV2 = 2
+// formatVersionNoCRC is the pre-checksum framed stream version, the oldest
+// the decoders read.
+const formatVersionNoCRC = 2
 
 // formatMagic identifies a VYRD log stream; the byte after it carries the
 // format version.
 const formatMagic = "VYRDLOG"
 
-// ErrFormatMismatch reports that a stream is not a VYRD log of the version
-// this decoder reads. Use errors.Is to detect it.
+// ErrFormatMismatch reports that a stream is not a VYRD log of a version
+// this package reads. Use errors.Is to detect it.
 var ErrFormatMismatch = errors.New("log format version mismatch")
 
-// Codec selects the stream encoding.
-type Codec uint8
-
-const (
-	// CodecBinary is the current framed binary encoding (format version 3:
-	// per-frame CRC32-C + sync markers).
-	CodecBinary Codec = iota
-	// CodecGob is the legacy encoding/gob stream (format version 1).
-	CodecGob
-	// CodecBinaryV2 is the pre-checksum framed binary encoding (format
-	// version 2), kept for regenerating old artifacts and measuring the
-	// checksum overhead.
-	CodecBinaryV2
-)
-
-// String returns the codec name as used in benchmarks and CLI flags.
-func (c Codec) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecBinaryV2:
-		return "binary-v2"
+// CheckVersion reports whether a stream whose header carries format version
+// v is readable: nil for versions 2 and 3, otherwise an error wrapping
+// ErrFormatMismatch that names the version found and the versions read.
+// Every entry point that meets a header (the decoders here, wal.Recover)
+// fails with this one message.
+func CheckVersion(v byte) error {
+	if v == formatVersionNoCRC || v == FormatVersion {
+		return nil
 	}
-	return "binary"
-}
-
-// version returns the header version byte a codec writes.
-func (c Codec) version() byte {
-	switch c {
-	case CodecGob:
-		return formatVersionGob
-	case CodecBinaryV2:
-		return formatVersionBinaryV2
+	hint := ""
+	if v == 1 {
+		hint = " (version 1 is the retired gob encoding; record the run again)"
 	}
-	return FormatVersion
-}
-
-// reads reports whether a decoder of codec c accepts a stream of header
-// version v. The binary decoders read both the checksummed (3) and the
-// pre-checksum (2) framing; gob is exactly version 1.
-func (c Codec) reads(v byte) bool {
-	if c == CodecGob {
-		return v == formatVersionGob
-	}
-	return v == formatVersionBinaryV2 || v == FormatVersion
+	return fmt.Errorf("%w: stream has format version %d, this build reads versions %d-%d%s",
+		ErrFormatMismatch, v, formatVersionNoCRC, FormatVersion, hint)
 }
 
 func init() {
@@ -127,57 +86,24 @@ func RegisterValue(v Value) { gob.Register(v) }
 // Encoder serializes entries to a stream, prefixed with the format header.
 type Encoder struct {
 	w      io.Writer
-	codec  Codec
-	enc    *gob.Encoder // CodecGob only
-	buf    []byte       // CodecBinary frame scratch
+	buf    []byte // frame scratch
 	headed bool
 }
 
-// NewEncoder returns an Encoder writing the current binary format to w. The
-// header is written lazily with the first entry, so constructing an encoder
+// NewEncoder returns an Encoder writing the current format to w. The header
+// is written lazily with the first entry, so constructing an encoder
 // performs no I/O.
-func NewEncoder(w io.Writer) *Encoder { return NewEncoderCodec(w, CodecBinary) }
-
-// NewEncoderCodec returns an Encoder writing the chosen codec to w.
-func NewEncoderCodec(w io.Writer, c Codec) *Encoder {
-	e := &Encoder{w: w, codec: c}
-	if c == CodecGob {
-		e.enc = gob.NewEncoder(w)
-	}
-	return e
-}
-
-// writeHeader emits the stream header once, before the first record.
-func (e *Encoder) writeHeader() error {
-	if _, err := e.w.Write(append([]byte(formatMagic), e.codec.version())); err != nil {
-		return fmt.Errorf("event: write stream header: %w", err)
-	}
-	e.headed = true
-	return nil
-}
+func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
 // Encode appends one entry to the stream.
 func (e *Encoder) Encode(entry Entry) error {
 	if !e.headed {
-		if err := e.writeHeader(); err != nil {
-			return err
+		if _, err := e.w.Write(append([]byte(formatMagic), FormatVersion)); err != nil {
+			return fmt.Errorf("event: write stream header: %w", err)
 		}
+		e.headed = true
 	}
-	if e.codec == CodecGob {
-		// Symbol ids are process-local; never let them reach the wire.
-		entry.Sym, entry.WSym, entry.Mod = 0, 0, 0
-		if err := e.enc.Encode(entry); err != nil {
-			return fmt.Errorf("event: encode entry #%d: %w", entry.Seq, err)
-		}
-		return nil
-	}
-	var buf []byte
-	var err error
-	if e.codec == CodecBinaryV2 {
-		buf, err = appendFrameNoCRC(e.buf[:0], entry)
-	} else {
-		buf, err = appendFrame(e.buf[:0], entry)
-	}
+	buf, err := appendFrame(e.buf[:0], entry)
 	if err != nil {
 		return fmt.Errorf("event: encode entry #%d: %w", entry.Seq, err)
 	}
@@ -189,12 +115,11 @@ func (e *Encoder) Encode(entry Entry) error {
 }
 
 // SyncMarker appends a sync marker frame recording that every entry with
-// sequence number <= lastSeq precedes it in the stream. Markers exist only
-// in the version-3 format; for other codecs — and before any entry has
-// been written — SyncMarker is a no-op, so callers can emit markers on a
-// fixed cadence without caring which codec is attached.
+// sequence number <= lastSeq precedes it in the stream. Before any entry
+// has been written SyncMarker is a no-op, so callers can emit markers on a
+// fixed cadence without tracking whether the stream has started.
 func (e *Encoder) SyncMarker(lastSeq int64) error {
-	if e.codec != CodecBinary || !e.headed {
+	if !e.headed {
 		return nil
 	}
 	buf := appendSyncMarker(e.buf[:0], lastSeq)
@@ -205,63 +130,43 @@ func (e *Encoder) SyncMarker(lastSeq int64) error {
 	return nil
 }
 
-// Decoder deserializes entries from a stream produced by Encoder. A Decoder
-// reads exactly one codec: the default binary Decoder rejects version-1
-// (gob) streams with ErrFormatMismatch, and vice versa — old artifacts are
-// read explicitly with NewDecoderCodec(r, CodecGob).
+// Decoder deserializes entries from a stream produced by Encoder (or by the
+// version-2 encoder of earlier releases).
 type Decoder struct {
-	r      io.Reader
-	codec  Codec
-	dec    *gob.Decoder  // CodecGob only
-	br     *bufio.Reader // binary codecs only
-	buf    []byte        // binary payload scratch
+	br     *bufio.Reader
+	buf    []byte // payload scratch
 	headed bool
 	crc    bool // stream is version 3: frames checksummed, markers present
 }
 
-// NewDecoder returns a Decoder reading the current binary format from r.
-func NewDecoder(r io.Reader) *Decoder { return NewDecoderCodec(r, CodecBinary) }
-
-// NewDecoderCodec returns a Decoder reading the chosen codec from r.
-func NewDecoderCodec(r io.Reader, c Codec) *Decoder {
-	d := &Decoder{r: r, codec: c}
-	if c == CodecGob {
-		d.dec = gob.NewDecoder(r)
-	} else {
-		if br, ok := r.(*bufio.Reader); ok {
-			d.br = br
-		} else {
-			d.br = bufio.NewReaderSize(r, 1<<16)
-		}
+// NewDecoder returns a Decoder reading a log stream from r.
+func NewDecoder(r io.Reader) *Decoder {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReaderSize(r, 1<<16)
 	}
-	return d
+	return &Decoder{br: br}
 }
 
-// readHeader consumes and validates the stream header against rd, the
-// reader the stream bytes come from, and returns the stream's format
-// version (the binary decoders accept more than one).
-func readHeader(rd io.Reader, c Codec) (byte, error) {
+// readHeader consumes and validates the stream header and reports whether
+// the stream's frames carry checksums (version 3) or not (version 2).
+func readHeader(rd io.Reader) (crc bool, err error) {
 	hdr := make([]byte, len(formatMagic)+1)
 	n, err := io.ReadFull(rd, hdr)
 	if err == io.EOF && n == 0 {
-		return 0, io.EOF // empty stream: no entries, not a format error
+		return false, io.EOF // empty stream: no entries, not a format error
 	}
 	if err != nil {
-		return 0, fmt.Errorf("event: %w: stream too short for a VYRDLOG header", ErrFormatMismatch)
+		return false, fmt.Errorf("event: %w: stream too short for a VYRDLOG header", ErrFormatMismatch)
 	}
 	if string(hdr[:len(formatMagic)]) != formatMagic {
-		return 0, fmt.Errorf("event: %w: stream has no VYRDLOG header (pre-versioning artifact? regenerate it, e.g. go generate ./vyrd)", ErrFormatMismatch)
+		return false, fmt.Errorf("event: %w: stream has no VYRDLOG header (pre-versioning artifact? regenerate it, e.g. go generate ./vyrd)", ErrFormatMismatch)
 	}
 	v := hdr[len(formatMagic)]
-	if !c.reads(v) {
-		if c == CodecGob {
-			return 0, fmt.Errorf("event: %w: stream has format version %d, this %s decoder reads version %d",
-				ErrFormatMismatch, v, c, formatVersionGob)
-		}
-		return 0, fmt.Errorf("event: %w: stream has format version %d, this %s decoder reads versions %d-%d",
-			ErrFormatMismatch, v, c, formatVersionBinaryV2, FormatVersion)
+	if err := CheckVersion(v); err != nil {
+		return false, fmt.Errorf("event: %w", err)
 	}
-	return v, nil
+	return v == FormatVersion, nil
 }
 
 // Decode reads the next entry, transparently skipping sync marker frames.
@@ -269,27 +174,11 @@ func readHeader(rd io.Reader, c Codec) (byte, error) {
 // interned Sym/WSym/Mod ids.
 func (d *Decoder) Decode() (Entry, error) {
 	if !d.headed {
-		rd := d.r
-		if d.br != nil {
-			rd = d.br
-		}
-		v, err := readHeader(rd, d.codec)
+		crc, err := readHeader(d.br)
 		if err != nil {
 			return Entry{}, err
 		}
-		d.headed = true
-		d.crc = v == FormatVersion
-	}
-	if d.codec == CodecGob {
-		var entry Entry
-		if err := d.dec.Decode(&entry); err != nil {
-			if err == io.EOF {
-				return Entry{}, io.EOF
-			}
-			return Entry{}, fmt.Errorf("event: decode entry: %w", err)
-		}
-		entry.Intern()
-		return entry, nil
+		d.headed, d.crc = true, crc
 	}
 	for {
 		payload, err := readFrame(d.br, &d.buf, d.crc)
@@ -302,11 +191,7 @@ func (d *Decoder) Decode() (Entry, error) {
 			}
 			continue
 		}
-		entry, err := decodeEntry(payload)
-		if err != nil {
-			return Entry{}, err
-		}
-		return entry, nil
+		return decodeEntry(payload)
 	}
 }
 

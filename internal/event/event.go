@@ -55,8 +55,8 @@ func (k Kind) String() string {
 }
 
 // Value is a logged argument, return value or written datum. Concrete types
-// stored in a Value must be registered with the gob codec (see codec.go) if
-// the log is persisted.
+// stored in a Value that the codec does not encode natively must be
+// registered (RegisterValue, see codec.go) if the log is persisted.
 type Value = any
 
 // Entry is one logged action. Seq is assigned by the log at append time and

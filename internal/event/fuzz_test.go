@@ -35,10 +35,10 @@ func fuzzEntries(tid int32, kind uint8, method, label, sarg string, iarg int64, 
 }
 
 // encodeAll serializes entries with a fresh Encoder and returns the bytes.
-func encodeAll(t *testing.T, c Codec, entries []Entry) []byte {
+func encodeAll(t *testing.T, entries []Entry) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := NewEncoderCodec(&buf, c)
+	enc := NewEncoder(&buf)
 	for _, e := range entries {
 		if err := enc.Encode(e); err != nil {
 			t.Fatalf("encode: %v", err)
@@ -53,11 +53,11 @@ func encodeAll(t *testing.T, c Codec, entries []Entry) []byte {
 // Exceptional), re-encoding the decoded entries reproduces the original
 // byte stream (so persisted artifacts are stable and diffable), and a
 // truncated stream fails with the explicit format error.
-func roundTrip(t *testing.T, c Codec, entries []Entry) {
+func roundTrip(t *testing.T, entries []Entry) {
 	t.Helper()
-	raw := encodeAll(t, c, entries)
+	raw := encodeAll(t, entries)
 
-	dec := NewDecoderCodec(bytes.NewReader(raw), c)
+	dec := NewDecoder(bytes.NewReader(raw))
 	decoded, err := dec.DecodeAll()
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -96,44 +96,43 @@ func roundTrip(t *testing.T, c Codec, entries []Entry) {
 
 	// Byte-stable re-encode: a fresh encoder over the decoded entries
 	// must reproduce the stream bit for bit.
-	if re := encodeAll(t, c, decoded); !bytes.Equal(raw, re) {
+	if re := encodeAll(t, decoded); !bytes.Equal(raw, re) {
 		t.Fatalf("re-encode not byte-stable:\n first  %x\n second %x", raw, re)
 	}
 
 	// A truncated stream must fail with the explicit format error, never
 	// silently succeed with a short header.
 	if len(raw) > 3 {
-		_, err := NewDecoderCodec(bytes.NewReader(raw[:3]), c).Decode()
+		_, err := NewDecoder(bytes.NewReader(raw[:3])).Decode()
 		if err == nil || err == io.EOF || !errors.Is(err, ErrFormatMismatch) {
 			t.Fatalf("3-byte stream decoded without format error: %v", err)
 		}
 	}
 
-	// The other codec's decoder must reject the stream with the explicit
-	// version-mismatch error, not a decode panic: this is the guard that
-	// keeps old artifacts from being misread as the new format.
-	other := CodecGob
-	if c == CodecGob {
-		other = CodecBinary
+	// A version-1 header (the retired gob encoding) must be rejected with
+	// the explicit version-mismatch error by both decoders, not misread as
+	// frames.
+	v1 := append([]byte(nil), raw...)
+	v1[len(formatMagic)] = 1
+	if _, err := NewDecoder(bytes.NewReader(v1)).Decode(); !errors.Is(err, ErrFormatMismatch) {
+		t.Fatalf("decoder accepted a version-1 stream: %v", err)
 	}
-	if _, err := NewDecoderCodec(bytes.NewReader(raw), other).Decode(); !errors.Is(err, ErrFormatMismatch) {
-		t.Fatalf("%s decoder accepted a %s stream: %v", other, c, err)
+	if _, err := DecodeAllParallel(bytes.NewReader(v1), 4); !errors.Is(err, ErrFormatMismatch) {
+		t.Fatalf("parallel decoder accepted a version-1 stream: %v", err)
 	}
 
-	// Binary streams additionally round-trip through the parallel decoder
-	// with the order preserved.
-	if c == CodecBinary {
-		par, err := DecodeAllParallel(bytes.NewReader(raw), 4)
-		if err != nil {
-			t.Fatalf("parallel decode: %v", err)
-		}
-		if len(par) != len(decoded) {
-			t.Fatalf("parallel decoded %d entries, want %d", len(par), len(decoded))
-		}
-		for i := range par {
-			if par[i].Seq != decoded[i].Seq || par[i].Method != decoded[i].Method {
-				t.Fatalf("parallel decode out of order at %d: %+v vs %+v", i, par[i], decoded[i])
-			}
+	// The stream round-trips through the parallel decoder with the order
+	// preserved.
+	par, err := DecodeAllParallel(bytes.NewReader(raw), 4)
+	if err != nil {
+		t.Fatalf("parallel decode: %v", err)
+	}
+	if len(par) != len(decoded) {
+		t.Fatalf("parallel decoded %d entries, want %d", len(par), len(decoded))
+	}
+	for i := range par {
+		if par[i].Seq != decoded[i].Seq || par[i].Method != decoded[i].Method {
+			t.Fatalf("parallel decode out of order at %d: %+v vs %+v", i, par[i], decoded[i])
 		}
 	}
 }
@@ -144,21 +143,11 @@ func addSeeds(f *testing.F) {
 	f.Add(int32(7), uint8(255), "Delete\x00x", "π", "日本", int64(-1), []byte("gob"), true, "r", "sclear", int64(1<<40))
 }
 
-// FuzzEntryRoundTrip exercises the current binary codec (format version 2).
+// FuzzEntryRoundTrip exercises the stream codec (format version 3).
 func FuzzEntryRoundTrip(f *testing.F) {
 	addSeeds(f)
 	f.Fuzz(func(t *testing.T, tid int32, kind uint8, method, label, sarg string, iarg int64,
 		barg []byte, flag bool, reason string, wop string, wargs int64) {
-		roundTrip(t, CodecBinary, fuzzEntries(tid, kind, method, label, sarg, iarg, barg, flag, reason, wop, wargs))
-	})
-}
-
-// FuzzEntryRoundTripGob exercises the retained legacy gob codec (format
-// version 1), which must keep reading and writing committed v1 artifacts.
-func FuzzEntryRoundTripGob(f *testing.F) {
-	addSeeds(f)
-	f.Fuzz(func(t *testing.T, tid int32, kind uint8, method, label, sarg string, iarg int64,
-		barg []byte, flag bool, reason string, wop string, wargs int64) {
-		roundTrip(t, CodecGob, fuzzEntries(tid, kind, method, label, sarg, iarg, barg, flag, reason, wop, wargs))
+		roundTrip(t, fuzzEntries(tid, kind, method, label, sarg, iarg, barg, flag, reason, wop, wargs))
 	})
 }

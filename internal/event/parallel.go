@@ -9,15 +9,14 @@ import (
 	"sync/atomic"
 )
 
-// Parallel offline decode (binary codec only). Offline replay used to
-// interleave decode with checking on one goroutine; here the stages split:
+// Parallel offline decode. Offline replay used to interleave decode with
+// checking on one goroutine; here the stages split:
 // a reader goroutine scans frame boundaries (length prefixes only — no
 // entry decoding) and slices the stream into batches, a bounded worker pool
 // decodes batches concurrently, and the caller consumes batches strictly in
 // stream order, so the necessarily-sequential checker still sees the total
-// order of the log. Gob streams cannot be frame-scanned without decoding
-// (the stream is stateful), which is exactly why the binary codec frames
-// every record.
+// order of the log. Scanning boundaries without decoding is what framing
+// every record independently buys.
 
 // ErrStop is returned by a StreamParallel callback to stop the stream early
 // without reporting an error.
@@ -39,7 +38,7 @@ type decBatch struct {
 	done    chan struct{}
 }
 
-// StreamParallel decodes a binary-codec stream with a pool of decode
+// StreamParallel decodes a log stream with a pool of decode
 // workers, invoking fn for every entry in stream order on the calling
 // goroutine. workers <= 0 uses GOMAXPROCS. If fn returns ErrStop the stream
 // stops cleanly with a nil error; any other fn error aborts and is
@@ -52,14 +51,13 @@ func StreamParallel(r io.Reader, workers int, fn func(Entry) error) error {
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<20)
 	}
-	v, err := readHeader(br, CodecBinary)
+	crc, err := readHeader(br)
 	if err != nil {
 		if err == io.EOF {
 			return nil // empty stream: no entries
 		}
 		return err
 	}
-	crc := v == FormatVersion
 	if workers == 1 {
 		return streamSequential(br, crc, fn)
 	}
@@ -240,7 +238,7 @@ func decodeBatch(b *decBatch) {
 	}
 }
 
-// DecodeAllParallel reads every entry of a binary-codec stream using a
+// DecodeAllParallel reads every entry of a log stream using a
 // parallel decode pool, preserving stream order.
 func DecodeAllParallel(r io.Reader, workers int) ([]Entry, error) {
 	var entries []Entry

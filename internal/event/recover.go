@@ -40,10 +40,10 @@ const headerSize = len(formatMagic) + 1
 
 // ScanRecover scans data as a framed binary VYRDLOG stream and returns its
 // longest valid prefix. It never panics on arbitrary input. Inputs without
-// a readable binary-format header (too short, wrong magic, a gob version-1
-// stream, an unknown version byte) yield BytesKept == 0; the caller
-// decides what that means — wal.Recover refuses to touch version-1 files
-// rather than truncating a readable artifact to nothing.
+// a readable header (too short, wrong magic, a version byte CheckVersion
+// rejects) yield BytesKept == 0; the caller decides what that means —
+// wal.Recover refuses to touch version-1 files rather than truncating an
+// artifact of an earlier release to nothing.
 func ScanRecover(data []byte) ScanResult {
 	res := ScanResult{BadOffset: -1}
 	if len(data) == 0 {
@@ -54,10 +54,9 @@ func ScanRecover(data []byte) ScanResult {
 		return res
 	}
 	res.Version = data[len(formatMagic)]
-	if res.Version != formatVersionBinaryV2 && res.Version != FormatVersion {
-		// Gob streams are stateful and cannot be frame-scanned; unknown
-		// versions cannot be scanned either. Report the header as the
-		// first unvalidated byte and keep nothing.
+	if CheckVersion(res.Version) != nil {
+		// A version this package does not read cannot be frame-scanned.
+		// Report the header as the first unvalidated byte and keep nothing.
 		res.BadOffset = 0
 		return res
 	}

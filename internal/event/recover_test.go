@@ -5,13 +5,32 @@ import (
 	"testing"
 )
 
-// buildStream encodes entries (seq 1..n assigned here) with the given
-// codec, inserting a sync marker every markEvery entries for CodecBinary,
-// and returns the stream bytes plus the end offset of every frame.
-func buildStream(t *testing.T, c Codec, n, markEvery int) (data []byte, frameEnds []int, entrySeqs []int64) {
+// appendFrameNoCRC appends the version-2 frame shape (length prefix and
+// payload, no checksum). No encoder writes it any more; the decoders still
+// read it, so the tests build such streams by hand.
+func appendFrameNoCRC(t *testing.T, buf []byte, e Entry) []byte {
+	t.Helper()
+	start := len(buf)
+	buf = append(buf, 0, 0, 0)
+	body := len(buf)
+	buf, err := appendPayload(buf, e)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return sealFrame(buf, start, body)
+}
+
+// buildStream encodes entries (seq 1..n assigned here) as a stream of the
+// given format version (3, or 2 through appendFrameNoCRC), inserting a sync
+// marker every markEvery entries in version 3, and returns the stream bytes
+// plus the end offset of every frame.
+func buildStream(t *testing.T, version byte, n, markEvery int) (data []byte, frameEnds []int, entrySeqs []int64) {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := NewEncoderCodec(&buf, c)
+	enc := NewEncoder(&buf)
+	if version == formatVersionNoCRC {
+		buf.Write(append([]byte(formatMagic), version))
+	}
 	for i := 1; i <= n; i++ {
 		e := Entry{
 			Seq:    int64(i),
@@ -20,19 +39,19 @@ func buildStream(t *testing.T, c Codec, n, markEvery int) (data []byte, frameEnd
 			Method: "Insert",
 			Args:   []Value{i, "key"},
 		}
-		if err := enc.Encode(e); err != nil {
+		if version == formatVersionNoCRC {
+			buf.Write(appendFrameNoCRC(t, nil, e))
+		} else if err := enc.Encode(e); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
 		frameEnds = append(frameEnds, buf.Len())
 		entrySeqs = append(entrySeqs, int64(i))
-		if markEvery > 0 && i%markEvery == 0 {
+		if version == FormatVersion && markEvery > 0 && i%markEvery == 0 {
 			if err := enc.SyncMarker(int64(i)); err != nil {
 				t.Fatalf("marker: %v", err)
 			}
-			if c == CodecBinary {
-				frameEnds = append(frameEnds, buf.Len())
-				entrySeqs = append(entrySeqs, 0) // 0 = marker frame
-			}
+			frameEnds = append(frameEnds, buf.Len())
+			entrySeqs = append(entrySeqs, 0) // 0 = marker frame
 		}
 	}
 	return buf.Bytes(), frameEnds, entrySeqs
@@ -43,7 +62,7 @@ func buildStream(t *testing.T, c Codec, n, markEvery int) (data []byte, frameEnd
 // frames whose last byte precedes the offset — no valid frame is dropped,
 // no partial frame is kept.
 func TestScanRecoverEveryCrashOffset(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecBinaryV2} {
+	for _, codec := range []byte{FormatVersion, formatVersionNoCRC} {
 		data, frameEnds, entrySeqs := buildStream(t, codec, 23, 5)
 		for cut := 0; cut <= len(data); cut++ {
 			res := ScanRecover(data[:cut])
@@ -63,21 +82,21 @@ func TestScanRecoverEveryCrashOffset(t *testing.T) {
 				}
 			}
 			if res.BytesKept != int64(wantBytes) {
-				t.Fatalf("%s cut %d: kept %d bytes, want %d", codec, cut, res.BytesKept, wantBytes)
+				t.Fatalf("v%d cut %d: kept %d bytes, want %d", codec, cut, res.BytesKept, wantBytes)
 			}
 			if res.Frames != wantFrames || len(res.Entries) != wantEntries {
-				t.Fatalf("%s cut %d: kept %d frames / %d entries, want %d / %d",
+				t.Fatalf("v%d cut %d: kept %d frames / %d entries, want %d / %d",
 					codec, cut, res.Frames, len(res.Entries), wantFrames, wantEntries)
 			}
 			for i, e := range res.Entries {
 				if e.Seq != int64(i+1) {
-					t.Fatalf("%s cut %d: entry %d has seq %d", codec, cut, i, e.Seq)
+					t.Fatalf("v%d cut %d: entry %d has seq %d", codec, cut, i, e.Seq)
 				}
 			}
 			// The scan is clean exactly when the cut sits on a frame
 			// boundary (or before any content): nothing was left over.
 			if res.Clean() != (cut == wantBytes) {
-				t.Fatalf("%s cut %d: clean=%v with %d bytes kept", codec, cut, res.Clean(), wantBytes)
+				t.Fatalf("v%d cut %d: clean=%v with %d bytes kept", codec, cut, res.Clean(), wantBytes)
 			}
 		}
 	}
@@ -87,7 +106,7 @@ func TestScanRecoverEveryCrashOffset(t *testing.T) {
 // and checks the scanner never keeps the corrupted frame: the checksum (or
 // a decode/sequence check) stops the scan at or before the damaged frame.
 func TestScanRecoverCorruptByte(t *testing.T) {
-	data, frameEnds, _ := buildStream(t, CodecBinary, 8, 3)
+	data, frameEnds, _ := buildStream(t, FormatVersion, 8, 3)
 	clean := ScanRecover(data)
 	if !clean.Clean() || clean.LastSeq != 8 {
 		t.Fatalf("clean scan: %+v", clean)
@@ -115,7 +134,7 @@ func TestScanRecoverCorruptByte(t *testing.T) {
 // valid prefix even though its checksum is fine.
 func TestScanRecoverRejectsSplicedMarker(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoderCodec(&buf, CodecBinary)
+	enc := NewEncoder(&buf)
 	for i := 1; i <= 3; i++ {
 		if err := enc.Encode(Entry{Seq: int64(i), Tid: 1, Kind: KindCall, Method: "M"}); err != nil {
 			t.Fatal(err)

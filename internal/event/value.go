@@ -74,7 +74,7 @@ func Format(v Value) string {
 }
 
 // Int extracts an int from a logged value, accepting the integer widths the
-// gob codec may round-trip through. ok is false for non-integer values.
+// codec may round-trip through. ok is false for non-integer values.
 func Int(v Value) (n int, ok bool) {
 	switch vv := v.(type) {
 	case int:

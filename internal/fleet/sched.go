@@ -65,8 +65,8 @@ type Task struct {
 	engine Engine
 	// appended reports how many entries have been appended to the log so
 	// far (the server's contiguous ingest high-water mark). The idle
-	// decision compares it against cur.Pos(): TryNext alone can be
-	// transiently false on a sharded merge while entries exist.
+	// decision compares it against cur.Pos() rather than trusting a false
+	// TryNext, so a task is never parked with entries pending.
 	appended func() int64
 	// onFed, when non-nil, observes every slice's consumption (window
 	// accounting hooks).
@@ -320,8 +320,7 @@ func (s *Scheduler) pop() *Task {
 // after the slice ran and the task decided its next state (DRR with
 // post-slice charging: the cost of a slice is only known once the reader
 // has been drained). Even an empty slice costs one entry, so a tenant
-// whose tasks spin without progress (e.g. a sharded merge not yet
-// provable) still drains its credit and rotates. A tenant that is out of
+// whose tasks spin without progress still drains its credit and rotates. A tenant that is out of
 // the ring at charge time has gone idle — nothing requeued — and
 // forfeits its leftover credit, so an idle tenant cannot bank service.
 func (s *Scheduler) charge(q *tenantQueue, n int) {
@@ -387,10 +386,8 @@ func (s *Scheduler) runSlice(t *Task) {
 			return
 		}
 		if t.appended()-pos > 0 {
-			// Entries pending (TryNext may still have refused them: a
-			// sharded merge proves order lazily) — stay runnable. Yield
-			// when the slice made no progress so a not-yet-mergeable
-			// task does not monopolize its worker.
+			// Entries pending — stay runnable. Yield when the slice made
+			// no progress so the task does not monopolize its worker.
 			t.state.Store(taskQueued)
 			s.push(t)
 			if n == 0 {

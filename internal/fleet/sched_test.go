@@ -36,14 +36,14 @@ func TestSchedulerDrainsManyTasks(t *testing.T) {
 	defer s.Stop()
 
 	type ses struct {
-		lg     wal.Backend
+		lg     *wal.Log
 		task   *Task
 		engine *collectEngine
 		recv   atomic.Int64
 	}
 	all := make([]*ses, tasks)
 	for i := range all {
-		lg := wal.Open(wal.LevelIO, wal.Options{Window: 128})
+		lg := wal.NewWithOptions(wal.LevelIO, wal.Options{Window: 128})
 		ss := &ses{lg: lg, engine: &collectEngine{}}
 		ss.task = s.Register(fmt.Sprintf("tenant-%d", i%3), lg.Reader(), ss.engine, ss.recv.Load, nil)
 		all[i] = ss
@@ -110,7 +110,7 @@ func TestSchedulerDrainsManyTasks(t *testing.T) {
 func TestSchedulerWaitIdempotent(t *testing.T) {
 	s := NewScheduler(1, 0)
 	defer s.Stop()
-	lg := wal.Open(wal.LevelIO, wal.Options{Window: 16})
+	lg := wal.NewWithOptions(wal.LevelIO, wal.Options{Window: 16})
 	var recv atomic.Int64
 	task := s.Register("", lg.Reader(), &collectEngine{}, recv.Load, nil)
 	lg.Append(event.Entry{Seq: 1, Kind: event.KindCall, Method: "op"})
@@ -137,7 +137,7 @@ func TestSchedulerWaitIdempotent(t *testing.T) {
 func TestSchedulerOnFed(t *testing.T) {
 	s := NewScheduler(1, 7) // odd budget: slices of uneven size
 	defer s.Stop()
-	lg := wal.Open(wal.LevelIO, wal.Options{Window: 256})
+	lg := wal.NewWithOptions(wal.LevelIO, wal.Options{Window: 256})
 	var recv, seen atomic.Int64
 	task := s.Register("", lg.Reader(), &collectEngine{}, recv.Load, func(n int) {
 		seen.Add(int64(n))
@@ -198,7 +198,7 @@ func TestSchedulerTenantFairness(t *testing.T) {
 	s := NewScheduler(1, 16)
 	defer s.Stop()
 
-	appendAll := func(lg wal.Backend, n int64) {
+	appendAll := func(lg *wal.Log, n int64) {
 		for seq := int64(1); seq <= n; seq++ {
 			lg.Append(event.Entry{Seq: seq, Kind: event.KindCall, Method: "op"})
 		}
@@ -207,13 +207,13 @@ func TestSchedulerTenantFairness(t *testing.T) {
 	// The noisy tenant: many tasks, every log fully appended up front so
 	// each task is runnable the whole time.
 	type ses struct {
-		lg   wal.Backend
+		lg   *wal.Log
 		task *Task
 		recv atomic.Int64
 	}
 	noisy := make([]*ses, noisyTasks)
 	for i := range noisy {
-		lg := wal.Open(wal.LevelIO, wal.Options{Window: 1 << 13})
+		lg := wal.NewWithOptions(wal.LevelIO, wal.Options{Window: 1 << 13})
 		ss := &ses{lg: lg}
 		ss.task = s.Register("noisy", lg.Reader(), &collectEngine{}, ss.recv.Load, nil)
 		appendAll(lg, noisyEntries)
@@ -226,7 +226,7 @@ func TestSchedulerTenantFairness(t *testing.T) {
 	// that drained it); measuring after Wait would let the now-uncontended
 	// worker blast through the noisy backlog first.
 	var noisyFedAtQuietFinish atomic.Int64
-	quietLog := wal.Open(wal.LevelIO, wal.Options{Window: 1 << 13})
+	quietLog := wal.NewWithOptions(wal.LevelIO, wal.Options{Window: 1 << 13})
 	var quietRecv atomic.Int64
 	quiet := s.Register("quiet", quietLog.Reader(), &snapshotEngine{snap: func() {
 		var sum int64

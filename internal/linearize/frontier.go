@@ -274,3 +274,109 @@ func maxInt64(a, b int64) int64 {
 	}
 	return b
 }
+
+// Interval search: the exhaustive, memoized search over one interval's
+// executions that closeInterval runs from every carried frontier state
+// (and that the test-only baseline checker runs from every end state of the
+// previous segment).
+
+// maxSegmentOps bounds a segment's width (the done-set is a bitmask).
+const maxSegmentOps = 63
+
+// carried is one reachable specification state at a quiescent cut, with a
+// witness order reaching it.
+type carried struct {
+	model Model
+	order []int
+}
+
+type memoKey struct {
+	done  uint64
+	state uint64
+}
+
+type searcher struct {
+	ops    []Op
+	base   int // index of ops[0] in the global op list
+	budget int64
+	spent  *int64
+
+	prefix    carried
+	ends      *[]carried
+	endSeen   map[uint64]bool
+	memo      map[memoKey]bool
+	collected map[uint64]bool
+	aborted   bool
+}
+
+// collect explores every linearization of the segment, recording each
+// distinct reachable end state (exhaustive, since a later segment may be
+// satisfiable from only some of them).
+func (s *searcher) collect(m Model, done uint64, order []int) {
+	if s.aborted {
+		return
+	}
+	if len(order) == len(s.ops) {
+		fp := m.Fingerprint()
+		if !s.endSeen[fp] {
+			s.endSeen[fp] = true
+			full := make([]int, 0, len(s.prefix.order)+len(order))
+			full = append(full, s.prefix.order...)
+			for _, idx := range order {
+				full = append(full, s.base+idx)
+			}
+			*s.ends = append(*s.ends, carried{model: m, order: full})
+		}
+		return
+	}
+	key := memoKey{done: done, state: m.Fingerprint()}
+	if s.memo[key] {
+		return
+	}
+	s.memo[key] = true
+	*s.spent++
+	if s.budget > 0 && *s.spent > s.budget {
+		s.aborted = true
+		return
+	}
+
+	// An op may be linearized next iff every op that returned before its
+	// call has already been linearized (real-time order preservation).
+	for i, op := range s.ops {
+		bit := uint64(1) << uint(i)
+		if done&bit != 0 {
+			continue
+		}
+		eligible := true
+		for j, prev := range s.ops {
+			pbit := uint64(1) << uint(j)
+			if done&pbit != 0 || i == j {
+				continue
+			}
+			if prev.RetSeq < op.CallSeq {
+				eligible = false
+				break
+			}
+		}
+		if !eligible {
+			continue
+		}
+		var next Model
+		if op.Mutator {
+			var ok bool
+			next, ok = m.Step(op)
+			if !ok {
+				continue
+			}
+		} else {
+			if !m.Check(op) {
+				continue
+			}
+			next = m
+		}
+		s.collect(next, done|bit, append(order, i))
+		if s.aborted {
+			return
+		}
+	}
+}

@@ -1,10 +1,7 @@
 // Package linearize checks linearizability of recorded executions from
 // call and return actions alone — no commit annotations.
 //
-// Two checkers live here. CheckBrute is the baseline VYRD's Section 2
-// argues against: an exhaustive search over serializations that carries
-// every reachable specification state across quiescent cuts, exponential
-// in the overlap width. Check is the production engine: Lowe-style
+// Check is the engine: Lowe-style
 // just-in-time linearization with undo (linearize a pending call, recurse,
 // undo on failure), memoization on (linearized-set, state fingerprint) to
 // prune revisited configurations, and P-compositionality — independent

@@ -74,7 +74,7 @@ func (a *arena) internAtom(at *Atom) *Node {
 }
 
 // Smart constructors. These apply a fixed simplification rule set; the
-// naive reference evaluator (naive.go) implements the SAME rules
+// naive reference evaluator (naive_test.go) implements the SAME rules
 // independently, and the differential test pins the two against each other.
 // The rules:
 //

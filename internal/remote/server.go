@@ -28,19 +28,6 @@ type ServerOptions struct {
 	Window int
 	// SegmentSize is the per-session log segment size (0 = wal default).
 	SegmentSize int
-	// Shards selects sharded per-core capture for each session's log
-	// (> 1; 0 or 1 keeps the single-counter log). Every session gets its
-	// own shard group, so sessions never contend on capture state — the
-	// scale-out posture for a multi-tenant vyrdd fleet. Session logs run
-	// in ticket mode (wal.Options.Tickets): the TCP ingest loop is one
-	// goroutine per session, so the client's wire order IS the causal
-	// order, and only a per-session strictly increasing counter as the
-	// merge key reproduces it exactly — capture timestamps would let two
-	// back-to-back appends routed to different shards land in one clock
-	// tick and be merge-swapped by their unordered batch seqs, changing
-	// verdicts. The per-entry ticket RMW is uncontended under the single
-	// ingest goroutine, and cross-session capture stays contention-free.
-	Shards int
 	// AckEvery is the ack cadence in entries (0 = DefaultAckEvery). The
 	// effective cadence per session never exceeds a quarter of the client's
 	// advertised window, so a small-window client is never starved of acks.
@@ -212,7 +199,7 @@ type session struct {
 	tenant     *fleet.Tenant
 	tenantName string
 
-	log wal.Backend
+	log *wal.Log
 	// cur is the checker pipeline's reader; its Pos is the consumption
 	// mark that window-memory accounting subtracts from recv.
 	cur  wal.Reader
@@ -401,14 +388,9 @@ func (s *Server) newSession(h Hello) (*session, error) {
 		}
 	}
 
-	lg := wal.Open(wal.LevelView, wal.Options{
+	lg := wal.NewWithOptions(wal.LevelView, wal.Options{
 		Window:      s.opts.Window,
 		SegmentSize: s.opts.SegmentSize,
-		Shards:      s.opts.Shards,
-		// Single-goroutine ingest of the client's ordered stream: ticket
-		// mode keeps the merged order identical to the wire order (see
-		// the ServerOptions.Shards comment).
-		Tickets: true,
 	})
 	cur := lg.Reader()
 

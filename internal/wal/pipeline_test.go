@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -403,27 +403,81 @@ func (b *safeBuffer) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// BenchmarkAppendParallelMutex is the A/B partner of BenchmarkAppendParallel
-// (wal_test.go): the retained single-mutex log under the same append-only
-// parallel load. Run both with -cpu 1,4 to see the scaling difference.
-func BenchmarkAppendParallelMutex(b *testing.B) {
-	l := NewMutexLog()
-	var tids atomic.Int32
+// TestWindowWakeStress is the parked-producer wake audit: a tiny window,
+// unserialized producers that park on it constantly, and a consumer that
+// stalls at random — every producer park must be matched by a reader-side
+// wake and every reader park by a publish-side one. A lost wakeup fails the
+// test by timeout; bounded retention is asserted via Stats.
+func TestWindowWakeStress(t *testing.T) {
+	const nProd, perProd = 8, 2_000
+	const segSize, window = 16, 128
+	l := NewWithOptions(LevelView, Options{SegmentSize: segSize, Window: window})
+	cur := l.Cursor()
+	done := make(chan int)
+	go func() {
+		rng := rand.New(rand.NewSource(42))
+		n := 0
+		for {
+			if _, ok := cur.Next(); !ok {
+				break
+			}
+			n++
+			if rng.Intn(512) == 0 {
+				time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+			}
+		}
+		done <- n
+	}()
+	var wg sync.WaitGroup
+	for p := 0; p < nProd; p++ {
+		tid := l.NewTid()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perProd; i++ {
+				l.Append(entry(tid, "M"))
+			}
+		}()
+	}
+	wg.Wait()
+	l.Close()
+	if n := <-done; n != nProd*perProd {
+		t.Fatalf("consumer drained %d entries, want %d", n, nProd*perProd)
+	}
+	st := l.Stats()
+	if st.Appends != nProd*perProd {
+		t.Fatalf("stats appends = %d, want %d", st.Appends, nProd*perProd)
+	}
+	// Producers check the window before reserving, so each can overshoot it
+	// by one entry; two segments of slack cover the partial head and tail.
+	if bound := int64(window + nProd + 2*segSize); st.PeakRetainedEntries > bound {
+		t.Fatalf("peak retained %d exceeds window bound %d (stats: %s)", st.PeakRetainedEntries, bound, st)
+	}
+}
+
+// BenchmarkOnlinePipeline measures the capture-to-checker pipeline inside
+// the wal package: parallel producers appending while one cursor drains the
+// total order under window backpressure.
+func BenchmarkOnlinePipeline(b *testing.B) {
+	l := NewWithOptions(LevelView, Options{SegmentSize: 4096, Window: 1 << 16})
+	cur := l.Cursor()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if _, ok := cur.Next(); !ok {
+				return
+			}
+		}
+	}()
+	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		e := entry(tids.Add(1), "M")
+		e := entry(l.NewTid(), "M")
 		for pb.Next() {
 			l.Append(e)
 		}
 	})
 	b.StopTimer()
 	l.Close()
-}
-
-func BenchmarkAppendMutex(b *testing.B) {
-	l := NewMutexLog()
-	e := entry(1, "M")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Append(e)
-	}
+	<-done
 }

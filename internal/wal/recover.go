@@ -61,12 +61,12 @@ func (r RecoveryReport) String() string {
 // Recover reads f in full, finds its longest valid prefix, and truncates
 // the file to it. It returns the recovered entries alongside the report.
 //
-// A version-1 (gob) stream is refused without modification: gob streams
-// are stateful and cannot be frame-scanned, and a readable old artifact
-// must not be destroyed by pointing recovery at it. Any other input —
-// including one with no recognizable header at all — is truncated to its
-// valid prefix, which may be empty; recovery's contract is that afterwards
-// the file is a stream the default reader accepts.
+// A version-1 stream (the retired gob encoding) is refused without
+// modification, with the same error every reader gives it: an artifact of
+// an earlier release must not be destroyed by pointing recovery at it. Any
+// other input — including one with no recognizable header at all — is
+// truncated to its valid prefix, which may be empty; recovery's contract is
+// that afterwards the file is a stream ReadFile accepts.
 func Recover(f CrashFile) ([]event.Entry, RecoveryReport, error) {
 	data, err := io.ReadAll(f)
 	if err != nil {
@@ -118,7 +118,7 @@ func scanRecover(data []byte) ([]event.Entry, RecoveryReport, error) {
 		FirstBadOffset: res.BadOffset,
 	}
 	if res.Version == 1 {
-		return nil, rep, fmt.Errorf("wal: recover: %w: version-1 gob streams cannot be frame-scanned; read the artifact with ReadFileCodec(CodecGob) instead", event.ErrFormatMismatch)
+		return nil, rep, fmt.Errorf("wal: recover: %w", event.CheckVersion(res.Version))
 	}
 	return res.Entries, rep, nil
 }

@@ -112,15 +112,13 @@ func TestRecoverCleanAndEmpty(t *testing.T) {
 	}
 }
 
-// TestRecoverRefusesGob: a readable version-1 artifact must not be
-// destroyed by pointing recovery at it.
+// TestRecoverRefusesGob: a version-1 artifact (the retired gob encoding,
+// which no reader decodes any more) must not be destroyed by pointing
+// recovery at it.
 func TestRecoverRefusesGob(t *testing.T) {
 	mem := faultfs.NewMemFS()
 	f, _ := mem.Create("old.log")
-	enc := event.NewEncoderCodec(f, event.CodecGob)
-	if err := enc.Encode(event.Entry{Seq: 1, Tid: 1, Kind: event.KindCall, Method: "M"}); err != nil {
-		t.Fatal(err)
-	}
+	f.Write([]byte("VYRDLOG\x01a version-1 body is opaque to the frame scanner"))
 	before := mem.Bytes("old.log")
 	_, _, err := RecoverPath(mem, "old.log")
 	if !errors.Is(err, event.ErrFormatMismatch) {

@@ -28,7 +28,7 @@
 //     every registered reader are released, so online checking of a long
 //     run retains O(window) entries instead of O(execution).
 //   - Persistence (AttachSink) is asynchronous: a sink goroutine drains
-//     committed entries through a bufio.Writer-backed gob encoder, instead
+//     committed entries through a bufio.Writer-backed event.Encoder, instead
 //     of encoding synchronously inside the append path. Close waits for the
 //     sink to drain and flush, and SinkErr reports the first write or flush
 //     failure.
@@ -36,8 +36,9 @@
 //     truncated segments, sink queue depth, max verifier lag) for the
 //     benchmark tables and for capacity planning.
 //
-// The previous single-mutex implementation is retained as MutexLog for A/B
-// benchmarking (BenchmarkAppendParallel vs BenchmarkAppendParallelMutex).
+// This is the only log implementation: the single-mutex log it replaced and
+// a sharded per-core variant were measured against it and retired (see
+// DESIGN.md "Retired designs").
 package wal
 
 import (
@@ -130,41 +131,6 @@ type Options struct {
 	// (a log that cannot reach disk is worthless); online pipelines where
 	// the sink is an auxiliary tap keep the default and poll SinkErr.
 	FailStop bool
-
-	// SinkCodec selects the persisted encoding of the attached encoder
-	// sink. The zero value is CodecBinary, the current checksummed framing
-	// (format version 3); CodecBinaryV2 writes the pre-checksum framing,
-	// kept for A/B-measuring the checksum overhead and regenerating
-	// version-2 artifacts.
-	SinkCodec event.Codec
-
-	// Shards, when > 1, selects the sharded per-core capture pipeline
-	// (Open returns a *ShardedLog): producers append to per-shard segment
-	// chains with batched sequence reservation instead of contending on
-	// one global counter, and the checker consumes a deterministic k-way
-	// merge. Window is then a global budget split across the shards, and
-	// SegmentSize applies per shard. 0 or 1 keeps the single-counter Log.
-	Shards int
-
-	// ShardBatch is the number of capture sequence numbers a shard
-	// reserves from the global counter per refill (sharded capture only);
-	// 0 means DefaultShardBatch. Larger batches amortize the only shared
-	// atomic further; the merge is insensitive to the batch size.
-	ShardBatch int
-
-	// Tickets forces a sharded log into per-entry global ticket ordering
-	// (the same mode a coarse host clock degrades to): the merge key is
-	// one strictly increasing counter per log, so the merged order is
-	// exactly the append order. Timestamp keys order appends by the
-	// instrumented program's lock handoffs, which is correct for live
-	// concurrent capture but not for a single goroutine ingesting an
-	// already-ordered stream — there the causal order is the stream
-	// position, and back-to-back appends routed to different shards can
-	// land in one clock tick and be merge-swapped by their unordered
-	// batch-reserved seqs. The remote server's per-session logs and
-	// online replay set this; the per-entry RMW is uncontended under a
-	// single producer. No effect when Shards <= 1.
-	Tickets bool
 }
 
 // DefaultSyncEvery is the default sync-marker cadence, in entries.
@@ -183,12 +149,7 @@ type slotData struct {
 	// under the mutex (a stale sequence never matches the one a reader or
 	// the next producer expects), so segment turnover stays O(1).
 	pub atomic.Int64
-	// ts is the capture timestamp of a sharded append (the k-way merge
-	// key; see shard.go), 0 on single-counter logs. Written before pub is
-	// stored and read only after pub matches, so it needs no atomic of
-	// its own.
-	ts int64
-	e  event.Entry
+	e   event.Entry
 }
 
 type slot struct {
@@ -207,7 +168,11 @@ type slot struct {
 // allocating each one fresh makes the allocator and the garbage collector
 // (zeroing, sweeping, heap locks) the dominant cost of the append path.
 type segment struct {
-	index int64 // segment number; holds seqs [index*size+1, (index+1)*size]
+	// index is the segment number; the segment holds seqs [index*size+1,
+	// (index+1)*size]. Atomic because recycling rewrites it under the mutex
+	// while a lock-free fast path may still be comparing it through a tail
+	// pointer it loaded before the segment was released.
+	index atomic.Int64
 	slots []slot
 	// pins counts Snapshot readers holding this segment outside the mutex;
 	// guarded by Log.mu. A pinned segment is never recycled.
@@ -244,42 +209,31 @@ type Stats struct {
 	// MaxVerifierLag is the largest gap observed between the newest
 	// appended entry and a cursor consuming one.
 	MaxVerifierLag int64 `json:"max_verifier_lag"`
-	// Shards is the shard count of a sharded capture log (0 for a
-	// single-counter Log); MergeWaits counts the k-way merge's poll
-	// sleeps while no entry could be proven next.
-	Shards     int64 `json:"shards,omitempty"`
-	MergeWaits int64 `json:"merge_waits,omitempty"`
 }
 
 // String renders the stats in one line for the benchmark tables.
 func (s Stats) String() string {
-	line := fmt.Sprintf(
+	return fmt.Sprintf(
 		"appends=%d blocked-waits=%d retained=%d/%dseg peak-retained=%d truncated=%dseg/%dent sink-queue=%d max-lag=%d",
 		s.Appends, s.BlockedWaits, s.RetainedEntries, s.RetainedSegments,
 		s.PeakRetainedEntries, s.TruncatedSegments, s.TruncatedEntries,
 		s.SinkQueueDepth, s.MaxVerifierLag)
-	if s.Shards > 0 {
-		line += fmt.Sprintf(" shards=%d merge-waits=%d", s.Shards, s.MergeWaits)
-	}
-	return line
 }
 
 // padded wraps an atomic counter in its own cache line. The hot-path stats
 // counters live in these slots: maxLag and peakRetained are stored by the
 // reader side, blockedWaits by whichever side parks — packing them next to
-// the producers' reservation line (as the pre-sharding layout did) made
-// every metrics update invalidate the line every Append loads, quietly
-// reintroducing the shared-line bounce the sharded capture exists to
-// remove. Aggregation happens on Stats() reads, never in the hot path.
+// the producers' reservation line made every metrics update invalidate the
+// line every Append loads. Aggregation happens on Stats() reads, never in
+// the hot path.
 type padded struct {
 	v atomic.Int64
 	_ [64 - 8]byte
 }
 
 // Log is the shared execution log. The zero value is not usable; construct
-// with New or NewWithOptions. It is both a complete single-counter log
-// (the strict-total-order capture the paper describes) and the per-shard
-// storage engine of ShardedLog.
+// with New or NewWithOptions. Every producer reserves its sequence number
+// from one counter: the strict total order the paper describes.
 type Log struct {
 	level Level
 	opts  Options
@@ -375,20 +329,11 @@ func (l *Log) NewTid() int32 { return l.nextTid.Add(1) }
 // Append adds an entry to the log, assigning and returning its sequence
 // number. Safe for concurrent use. Appending to a closed log panics: it
 // indicates the harness tore down the log while workers were still running.
+//
+// The publication order — slot store, then pub store, then the minWait
+// load — pairs with park's register-then-recheck order so wakeups are never
+// lost.
 func (l *Log) Append(e event.Entry) int64 {
-	l.appendGate()
-	pos := l.reserved.Add(1)
-	e.Seq = pos
-	l.publish(pos, 0, e)
-	return pos
-}
-
-// appendGate performs the pre-reservation admission checks of an append:
-// closed-log and fail-stop panics, and the Window backpressure wait. It is
-// split from the slot work so the sharded capture path can run the gate
-// before taking its shard lock — a producer must never park on the window
-// while holding the lock the merge cursor's watermark protocol try-locks.
-func (l *Log) appendGate() {
 	if l.closed.Load() {
 		panic("wal: append to closed log")
 	}
@@ -401,34 +346,12 @@ func (l *Log) appendGate() {
 			panic("wal: append to closed log")
 		}
 	}
-}
-
-// appendStamped appends an entry that already carries its capture identity:
-// e.Seq is preserved (a batch-reserved capture sequence number, not this
-// log's local position) and ts is stored alongside the entry as the k-way
-// merge key. The local slot position it returns orders entries within this
-// log only. Callers run appendGate themselves, before any shard locking.
-func (l *Log) appendStamped(e event.Entry, ts int64) int64 {
 	pos := l.reserved.Add(1)
-	l.publish(pos, ts, e)
-	return pos
-}
-
-// publish stores the entry into the slot its local position selects and
-// wakes a parked reader if one is waiting for it. The publication order —
-// slot store, then pub store, then the minWait load — pairs with park's
-// register-then-recheck order so wakeups are never lost; this holds
-// per-shard under sharded capture, where each shard is its own Log with
-// its own minWait/cond pair (the wake protocol needs no shard awareness
-// because no waiter ever spans two shards).
-func (l *Log) publish(pos, ts int64, e event.Entry) {
+	e.Seq = pos
 	size := int64(l.opts.SegmentSize)
-	idx := (pos - 1) / size
-	off := (pos - 1) % size
-	seg := l.segmentForAppend(idx)
-	sl := &seg.slots[off]
+	seg := l.segmentForAppend((pos - 1) / size)
+	sl := &seg.slots[(pos-1)%size]
 	sl.e = e
-	sl.ts = ts
 	sl.pub.Store(pos)
 	// Wake a parked reader iff one is waiting for this entry (or an
 	// earlier one another producer is about to publish; spurious wakeups
@@ -440,6 +363,7 @@ func (l *Log) publish(pos, ts int64, e event.Entry) {
 		l.cond.Broadcast()
 		l.mu.Unlock()
 	}
+	return pos
 }
 
 // waitWindow blocks the producer while the log is Window entries ahead of
@@ -482,7 +406,7 @@ func (l *Log) recomputeMinLocked() int64 {
 // segmentForAppend returns the segment with the given index, creating it
 // (and updating the tail cache) if needed.
 func (l *Log) segmentForAppend(idx int64) *segment {
-	if seg := l.tail.Load(); seg != nil && seg.index == idx {
+	if seg := l.tail.Load(); seg != nil && seg.index.Load() == idx {
 		return seg
 	}
 	l.mu.Lock()
@@ -496,7 +420,7 @@ func (l *Log) segmentForAppend(idx int64) *segment {
 		// reservation count). Hand the producer a throwaway segment so its
 		// store lands somewhere harmless; the entry is discarded, which is
 		// what truncation of its position means.
-		return &segment{index: idx, slots: make([]slot, l.opts.SegmentSize)}
+		return l.newSegment(idx)
 	}
 	var seg *segment
 	if n := len(l.free); n > 0 {
@@ -505,12 +429,12 @@ func (l *Log) segmentForAppend(idx int64) *segment {
 		seg = l.free[n-1]
 		l.free[n-1] = nil
 		l.free = l.free[:n-1]
-		seg.index = idx
+		seg.index.Store(idx)
 	} else {
-		seg = &segment{index: idx, slots: make([]slot, l.opts.SegmentSize)}
+		seg = l.newSegment(idx)
 	}
 	l.segs[idx] = seg
-	if t := l.tail.Load(); t == nil || t.index < idx {
+	if t := l.tail.Load(); t == nil || t.index.Load() < idx {
 		l.tail.Store(seg)
 	}
 	if retained := int64(len(l.segs)) * int64(l.opts.SegmentSize); retained > l.peakRetained.v.Load() {
@@ -526,10 +450,17 @@ func (l *Log) segmentForAppend(idx int64) *segment {
 	return seg
 }
 
+// newSegment allocates a fresh segment holding the given index.
+func (l *Log) newSegment(idx int64) *segment {
+	seg := &segment{slots: make([]slot, l.opts.SegmentSize)}
+	seg.index.Store(idx)
+	return seg
+}
+
 // segmentFor returns the retained segment with the given index, or nil if
 // it does not exist yet or has been truncated.
 func (l *Log) segmentFor(idx int64) *segment {
-	if seg := l.tail.Load(); seg != nil && seg.index == idx {
+	if seg := l.tail.Load(); seg != nil && seg.index.Load() == idx {
 		return seg
 	}
 	l.mu.Lock()
@@ -545,16 +476,6 @@ func (l *Log) read(seg *segment, seq int64) (event.Entry, bool) {
 		return event.Entry{}, false
 	}
 	return sl.e, true
-}
-
-// readTS is read returning the capture timestamp too (sharded merge key).
-func (l *Log) readTS(seg *segment, seq int64) (event.Entry, int64, bool) {
-	off := (seq - 1) % int64(l.opts.SegmentSize)
-	sl := &seg.slots[off]
-	if sl.pub.Load() != seq {
-		return event.Entry{}, 0, false
-	}
-	return sl.e, sl.ts, true
 }
 
 // readerSpins is how many times a reader yields and re-polls an unpublished
@@ -623,18 +544,6 @@ func (l *Log) Len() int { return int(l.reserved.Load()) }
 // contiguous published prefix: entries whose append is still in flight end
 // it early (they are not yet part of the log).
 func (l *Log) Snapshot() []event.Entry {
-	tes := l.snapshotTS()
-	out := make([]event.Entry, len(tes))
-	for i, te := range tes {
-		out[i] = te.e
-	}
-	return out
-}
-
-// snapshotTS is Snapshot carrying each entry's capture timestamp (zero on
-// single-counter appends) — the per-shard half of ShardedLog.Snapshot's
-// offline merge.
-func (l *Log) snapshotTS() []tsEntry {
 	n := l.reserved.Load()
 	size := int64(l.opts.SegmentSize)
 	l.mu.Lock()
@@ -658,7 +567,7 @@ func (l *Log) snapshotTS() []tsEntry {
 	if start > n {
 		return nil
 	}
-	out := make([]tsEntry, 0, n-start+1)
+	out := make([]event.Entry, 0, n-start+1)
 	for seq := start; seq <= n; seq++ {
 		idx := (seq - 1) / size
 		seg := pinned[idx]
@@ -672,15 +581,15 @@ func (l *Log) snapshotTS() []tsEntry {
 			break
 		}
 		pinned[idx] = seg
-		e, ts, ok := l.readTS(seg, seq)
+		e, ok := l.read(seg, seq)
 		for spin := 0; !ok && spin < snapshotSpins; spin++ {
 			runtime.Gosched()
-			e, ts, ok = l.readTS(seg, seq)
+			e, ok = l.read(seg, seq)
 		}
 		if !ok {
 			break
 		}
-		out = append(out, tsEntry{ts: ts, e: e})
+		out = append(out, e)
 	}
 	return out
 }
@@ -733,7 +642,7 @@ func (l *Log) Stats() Stats {
 		RetainedEntries:     retainedSegs * size,
 		PeakRetainedEntries: l.peakRetained.v.Load(),
 		TruncatedSegments:   l.truncatedSegs.v.Load(),
-		TruncatedEntries:    l.truncatedEntryCount(),
+		TruncatedEntries:    l.truncatedSegs.v.Load() * size,
 		MaxVerifierLag:      l.maxLag.v.Load(),
 	}
 	if s != nil {
@@ -742,13 +651,6 @@ func (l *Log) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// truncatedEntryCount reports how many entries truncation has released
-// (truncation works at whole-segment granularity). It is the positional
-// base a retained-suffix snapshot's numbering resumes from.
-func (l *Log) truncatedEntryCount() int64 {
-	return l.truncatedSegs.v.Load() * int64(l.opts.SegmentSize)
 }
 
 // advanceReaders recomputes the slowest-reader position and, at segment
@@ -810,7 +712,7 @@ func (l *Log) truncateLocked(min int64) {
 // reserved a slot here has completed its store, so the segment can be
 // reused without racing a late publication.
 func fullyPublished(seg *segment, size int64) bool {
-	base := seg.index * size
+	base := seg.index.Load() * size
 	for i := range seg.slots {
 		if seg.slots[i].pub.Load() != base+int64(i)+1 {
 			return false
@@ -941,25 +843,18 @@ func (s *sink) fail(err error) {
 // retained) are written out first so the stream is complete. Attaching a
 // second sink is an error.
 func (l *Log) AttachSink(w io.Writer) error {
-	return l.AttachEntrySink(newEncoderSink(w, l.opts))
-}
-
-// newEncoderSink wraps w in the codec-encoding entry sink, honoring the
-// codec and sync-marker cadence options. Shared by Log and ShardedLog so
-// both backends persist byte-identical streams for the same entries.
-func newEncoderSink(w io.Writer, opts Options) *encoderSink {
 	bw := bufio.NewWriter(w)
-	es := &encoderSink{bw: bw, enc: event.NewEncoderCodec(bw, opts.SinkCodec)}
+	es := &encoderSink{bw: bw, enc: event.NewEncoder(bw)}
 	if sw, ok := w.(SyncWriter); ok {
 		es.sync = sw
 	}
 	switch {
-	case opts.SyncEvery > 0:
-		es.every = int64(opts.SyncEvery)
-	case opts.SyncEvery == 0:
+	case l.opts.SyncEvery > 0:
+		es.every = int64(l.opts.SyncEvery)
+	case l.opts.SyncEvery == 0:
 		es.every = DefaultSyncEvery
 	}
-	return es
+	return l.AttachEntrySink(es)
 }
 
 // AttachEntrySink starts draining appended entries into es on a dedicated
@@ -1031,7 +926,7 @@ func (l *Log) Cursor() *Cursor {
 func (c *Cursor) fetch(seq int64) (event.Entry, bool) {
 	size := int64(c.log.opts.SegmentSize)
 	idx := (seq - 1) / size
-	if c.seg == nil || c.seg.index != idx {
+	if c.seg == nil || c.seg.index.Load() != idx {
 		seg := c.log.segmentFor(idx)
 		if seg == nil {
 			return event.Entry{}, false
@@ -1084,33 +979,6 @@ func (c *Cursor) TryNext() (e event.Entry, ok bool) {
 	return e, true
 }
 
-// peek returns the next entry and its capture timestamp without consuming
-// it; consume advances past it. The pair is the head-inspection surface
-// the sharded k-way merge runs on: the merge must compare the heads of
-// every shard before it commits to consuming one.
-func (c *Cursor) peek() (e event.Entry, ts int64, ok bool) {
-	seq := c.pos.Load() + 1
-	size := int64(c.log.opts.SegmentSize)
-	idx := (seq - 1) / size
-	if c.seg == nil || c.seg.index != idx {
-		seg := c.log.segmentFor(idx)
-		if seg == nil {
-			return event.Entry{}, 0, false
-		}
-		c.seg = seg
-	}
-	return c.log.readTS(c.seg, seq)
-}
-
-// consume advances past the entry a successful peek returned.
-func (c *Cursor) consume() { c.advance(c.pos.Load() + 1) }
-
-// drained reports that the cursor's log is closed and fully consumed: no
-// entry will ever follow.
-func (c *Cursor) drained() bool {
-	return c.log.closed.Load() && c.pos.Load() >= c.log.reserved.Load()
-}
-
 // Next blocks until an entry is available or the log is closed and fully
 // consumed, in which case ok is false. Like await, it spins briefly before
 // parking so a fast verifier does not drag every producer into the wake
@@ -1144,11 +1012,10 @@ func (c *Cursor) Pos() int { return int(c.pos.Load()) }
 // surface this in their Report.
 func (c *Cursor) Err() error { return c.log.SinkErr() }
 
-// Reader is the total-order read surface of a log: the single-counter
-// Log's Cursor and the sharded log's MergeCursor both implement it, so the
-// checker pipeline (core.Checker.Run, core.RunChecker, core.Multi.Run, the
-// vyrdd session drain) is capture-layout-agnostic. A Reader is owned by a
-// single goroutine.
+// Reader is the read surface of a log that the checker pipeline
+// (core.Checker.Run, core.RunChecker, core.Multi.Run, the vyrdd session
+// drain) consumes; *Cursor implements it, and tests and the benchmark wrap
+// it to count or delay reads. A Reader is owned by a single goroutine.
 type Reader interface {
 	// Next blocks until an entry is available or the log is closed and
 	// drained (ok false).
@@ -1163,63 +1030,13 @@ type Reader interface {
 	Err() error
 }
 
-// Appender is the capture surface a probe appends through: the whole Log,
-// or one pinned shard of a ShardedLog.
-type Appender interface {
-	Append(e event.Entry) int64
-}
-
-// Backend is the full capture-side surface shared by Log and ShardedLog;
-// the vyrd facade and the vyrdd session layer program against it so the
-// sharded and single-counter pipelines are interchangeable end to end.
-type Backend interface {
-	Level() Level
-	NewTid() int32
-	// AppenderFor returns the append surface for one thread: the log
-	// itself for a single-counter Log, the thread's pinned shard for a
-	// ShardedLog.
-	AppenderFor(tid int32) Appender
-	// Append routes an entry by its Tid (AppenderFor(e.Tid) semantics);
-	// single-goroutine ingest paths (the vyrdd wire loop) use it.
-	Append(e event.Entry) int64
-	// Reader returns a fresh registered reader over the total order.
-	Reader() Reader
-	Snapshot() []event.Entry
-	Len() int
-	Close()
-	Closed() bool
-	Stats() Stats
-	AttachSink(w io.Writer) error
-	AttachEntrySink(es EntrySink) error
-	SinkErr() error
-}
-
-// AppenderFor returns the log itself: a single-counter log has no shards
-// to pin to.
-func (l *Log) AppenderFor(tid int32) Appender { return l }
-
-// Reader returns a fresh registered cursor (Backend surface).
+// Reader returns a fresh registered cursor as a Reader.
 func (l *Log) Reader() Reader { return l.Cursor() }
 
-// Open constructs the capture backend the options select: a ShardedLog
-// when opts.Shards > 1, the single-counter Log otherwise.
-func Open(level Level, opts Options) Backend {
-	if opts.Shards > 1 {
-		return NewSharded(level, opts)
-	}
-	return NewWithOptions(level, opts)
-}
-
-// ReadFile decodes a persisted log stream (current binary format) into a
+// ReadFile decodes a persisted log stream (format versions 2 and 3) into a
 // slice of entries, the input to offline checking.
 func ReadFile(r io.Reader) ([]event.Entry, error) {
 	return event.NewDecoder(r).DecodeAll()
-}
-
-// ReadFileCodec decodes a persisted log stream written with the given
-// codec; use event.CodecGob for version-1 artifacts.
-func ReadFileCodec(r io.Reader, c event.Codec) ([]event.Entry, error) {
-	return event.NewDecoderCodec(r, c).DecodeAll()
 }
 
 // ReadFileParallel decodes a binary-format stream with a parallel decode

@@ -250,11 +250,10 @@ func BenchmarkAppend(b *testing.B) {
 // segments from the append side and recycles them, so the live heap stays
 // at O(segment) and the measurement reflects sequence reservation and slot
 // publication rather than the garbage collector walking an ever-growing
-// log, and no serial consumer caps the aggregate rate. Its A/B partner over
-// the old single-mutex log is BenchmarkAppendParallelMutex
-// (pipeline_test.go); run both with -cpu 1,4 to compare scaling. The
-// end-to-end rate with a verifier draining the log is what
-// BenchmarkOnlinePipeline (repo root) measures.
+// log, and no serial consumer caps the aggregate rate. The rate with a
+// cursor draining the log is BenchmarkOnlinePipeline (pipeline_test.go);
+// the end-to-end rate with a verifier attached is the repo root's
+// BenchmarkOnlinePipeline.
 func BenchmarkAppendParallel(b *testing.B) {
 	l := NewWithOptions(LevelView, Options{SegmentSize: 1024, Truncate: true})
 	b.ResetTimer()

@@ -10,11 +10,10 @@ import (
 )
 
 // Log is the shared execution log of one instrumented run. It wraps the
-// internal write-ahead log — single-counter or sharded per-core capture,
-// depending on LogOptions.Shards — and is the factory for per-goroutine
-// probes and for the verification thread's cursor.
+// internal write-ahead log and is the factory for per-goroutine probes and
+// for the verification thread's cursor.
 type Log struct {
-	wal wal.Backend
+	wal *wal.Log
 }
 
 // LogOptions tunes the log's storage pipeline: segment size, consumed-prefix
@@ -38,13 +37,8 @@ func NewLog(level Level) *Log { return &Log{wal: wal.New(level)} }
 // bounded-memory online checking of long runs:
 //
 //	log := vyrd.NewLogWith(vyrd.LevelView, vyrd.LogOptions{Window: 1 << 16})
-//
-// Setting Shards > 1 selects sharded per-core capture: each probe appends
-// into its own shard and readers consume a deterministic k-way merge, so
-// append throughput scales with cores instead of serializing on a global
-// sequence counter.
 func NewLogWith(level Level, opts LogOptions) *Log {
-	return &Log{wal: wal.Open(level, opts)}
+	return &Log{wal: wal.NewWithOptions(level, opts)}
 }
 
 // Level reports the recording level.
@@ -76,7 +70,7 @@ func (l *Log) Stats() LogStats { return l.wal.Stats() }
 // goroutine performing logged actions needs its own probe.
 func (l *Log) NewProbe() *Probe {
 	tid := l.wal.NewTid()
-	p := &Probe{log: l.wal.AppenderFor(tid), tid: tid, level: l.wal.Level()}
+	p := &Probe{log: l.wal, tid: tid, level: l.wal.Level()}
 	p.modKey, p.specVar = moduleKeys("")
 	return p
 }
@@ -85,7 +79,7 @@ func (l *Log) NewProbe() *Probe {
 // thread (Tid_ds), e.g. a compression or flush daemon.
 func (l *Log) NewWorkerProbe() *Probe {
 	tid := l.wal.NewTid()
-	p := &Probe{log: l.wal.AppenderFor(tid), tid: tid, level: l.wal.Level(), worker: true}
+	p := &Probe{log: l.wal, tid: tid, level: l.wal.Level(), worker: true}
 	p.modKey, p.specVar = moduleKeys("")
 	return p
 }
@@ -137,11 +131,7 @@ func (l *Log) StartMultiChecker(mods ...Module) (wait func() []ModuleReport, err
 // a nil probe (no-ops), so implementations can run uninstrumented; they are
 // not safe for concurrent use by multiple goroutines.
 type Probe struct {
-	// log is the probe's append surface. Under sharded capture it is
-	// pinned to one shard by the probe's tid, so a thread's entries stay
-	// in program order within that shard and cores do not share append
-	// cache lines.
-	log    wal.Appender
+	log    *wal.Log
 	tid    int32
 	level  Level
 	worker bool

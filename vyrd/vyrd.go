@@ -39,7 +39,8 @@ package vyrd
 // regenerate it whenever the wire shape of event.Entry (and so
 // LogFormatVersion) changes. The corrupted variant pins crash recovery's
 // report byte-for-byte (fig6_v2.log and fig6_v1_gob.log are frozen
-// old-version artifacts; they are never regenerated).
+// old-version artifacts, never regenerated: the first pins that version 2
+// still decodes, the second that version 1 is refused).
 //go:generate go run repro/cmd/genfig6 -o testdata/fig6.log
 //go:generate go run repro/cmd/genfig6 -o testdata/fig6_v3_corrupt.log -corrupt-at 120 -corrupt-xor 0x41
 //go:generate go run repro/cmd/genfig6 -nocommit -o testdata/fig6_nocommit.log
@@ -89,8 +90,6 @@ type (
 	Level = wal.Level
 	// Table is a view digest table (viewI / viewS).
 	Table = view.Table
-	// Codec selects a persisted stream encoding (CodecBinary/CodecGob).
-	Codec = event.Codec
 	// Module is one verified module of a modular (Fig. 10) check.
 	Module = core.Module
 	// ModuleReport pairs a module's name with its checking report.
@@ -132,15 +131,6 @@ const (
 	LevelView = wal.LevelView
 )
 
-// Stream codecs.
-const (
-	CodecBinary = event.CodecBinary
-	CodecGob    = event.CodecGob
-	// CodecBinaryV2 is the pre-checksum framed encoding (format version 2),
-	// kept for measuring the checksum overhead and reading old artifacts.
-	CodecBinaryV2 = event.CodecBinaryV2
-)
-
 // Checker options.
 var (
 	WithMode              = core.WithMode
@@ -176,22 +166,19 @@ func CheckEntriesMulti(entries []Entry, mods ...Module) ([]ModuleReport, error) 
 	return core.CheckEntriesMulti(entries, mods...)
 }
 
-// CheckStream verifies a persisted binary-format log stream offline with a
+// CheckStream verifies a persisted log stream offline with a
 // parallel decode pool feeding the sequential checker (workers <= 0 uses
 // GOMAXPROCS).
 func CheckStream(r io.Reader, workers int, spec Spec, opts ...Option) (*Report, error) {
 	return core.CheckStream(r, workers, spec, opts...)
 }
 
-// ReadLog decodes a persisted log stream (written via Log.AttachSink).
+// ReadLog decodes a persisted log stream (written via Log.AttachSink; format
+// versions 2 and 3). Anything else — including version-1 artifacts of the
+// retired gob encoding — fails with ErrLogFormatMismatch.
 func ReadLog(r io.Reader) ([]Entry, error) { return wal.ReadFile(r) }
 
-// ReadLogCodec decodes a persisted log stream written with the given
-// codec. Version-1 artifacts (written before LogFormatVersion 2) are gob
-// streams: read them with vyrd.CodecGob.
-func ReadLogCodec(r io.Reader, c Codec) ([]Entry, error) { return wal.ReadFileCodec(r, c) }
-
-// ReadLogParallel decodes a binary-format log stream with a parallel
+// ReadLogParallel decodes a persisted log stream with a parallel
 // decode pool, preserving log order (workers <= 0 uses GOMAXPROCS).
 func ReadLogParallel(r io.Reader, workers int) ([]Entry, error) {
 	return wal.ReadFileParallel(r, workers)

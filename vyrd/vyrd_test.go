@@ -5,9 +5,11 @@ import (
 	"errors"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/faultfs"
 	"repro/internal/harness"
 	"repro/internal/linearize"
 	"repro/internal/multiset"
@@ -214,6 +216,73 @@ func TestPersistedFig6Artifact(t *testing.T) {
 	}
 }
 
+// TestWindowedOnlineFig6 drives the Fig. 6 schedule (the one genfig6
+// records) through probes on a windowed log with the checker started from
+// the facade, and requires the verdicts the committed artifact gives
+// offline. The window is far smaller than the trace, so the probes' appends
+// are admitted only as the checker's cursor consumes.
+func TestWindowedOnlineFig6(t *testing.T) {
+	opts := []vyrd.Option{vyrd.WithReplayer(multiset.NewReplayer()), vyrd.WithFailFast(false)}
+	log := vyrd.NewLogWith(vyrd.LevelView, vyrd.LogOptions{Window: 4})
+	wait, err := log.StartChecker(spec.NewMultiset(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := multiset.New(8, multiset.BugFindSlotAcquire)
+	p1, p2 := log.NewProbe(), log.NewProbe()
+	t2Entered, t1Done := make(chan struct{}), make(chan struct{})
+	var gate sync.Once
+	m.RaceWindow = func(i int) {
+		if i == 0 {
+			gate.Do(func() {
+				close(t2Entered)
+				<-t1Done
+			})
+		}
+	}
+	done := make(chan bool)
+	go func() { done <- m.InsertPair(p2, 7, 8) }()
+	<-t2Entered
+	m.RaceWindow = nil
+	ok1 := m.InsertPair(p1, 5, 6)
+	close(t1Done)
+	if ok2 := <-done; !ok1 || !ok2 {
+		t.Fatalf("InsertPair results %v, %v; the schedule needs both to succeed", ok1, ok2)
+	}
+	if m.LookUp(p1, 5) {
+		t.Fatal("implementation still contains 5; the bug did not trigger")
+	}
+	log.Close()
+	online := wait()
+
+	f, err := os.Open("testdata/fig6.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries, err := vyrd.ReadLog(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := vyrd.CheckEntries(entries, spec.NewMultiset(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if offline.Ok() || offline.First().Kind != vyrd.ViolationView {
+		t.Fatalf("artifact no longer shows the view violation: %s", offline)
+	}
+	if online.LogErr != "" || online.TotalViolations != offline.TotalViolations ||
+		online.First().Kind != offline.First().Kind ||
+		online.First().MethodsCompleted != offline.First().MethodsCompleted ||
+		online.MethodsCompleted != offline.MethodsCompleted {
+		t.Fatalf("windowed online run disagrees with the artifact:\nonline:  %s\noffline: %s", online, offline)
+	}
+	if st := log.Stats(); st.Appends != int64(len(entries)) {
+		t.Fatalf("live run logged %d entries, the artifact holds %d", st.Appends, len(entries))
+	}
+}
+
 // TestPersistedNoCommitArtifact loads the committed annotation-free trace
 // (correct multiset, call/return-only instrumentation — no commit actions)
 // and pins the verdict split that motivates the linearizability engine:
@@ -288,62 +357,59 @@ func TestNoCommitSubjectLiveRun(t *testing.T) {
 	}
 }
 
-// TestGoldenV1GobArtifact pins the version-1 migration story: the committed
-// gob-format Fig. 6 trace must be rejected by the default (binary, version
-// 2) reader with an explicit format-version mismatch, and must still decode
-// under CodecGob to the same verdicts as the current artifact.
+// TestGoldenV1GobArtifact pins the end of the version-1 migration story:
+// the committed gob-format Fig. 6 trace is refused by every entry point
+// that meets a stream header — sequential, parallel and streaming decoders
+// and both recovery calls — with one message that wraps
+// ErrLogFormatMismatch and names the version found and the versions read,
+// and recovery leaves the file untouched. (`vyrd -load` is the fifth entry
+// point; cmd/vyrd's re-exec test feeds it the same file.)
 func TestGoldenV1GobArtifact(t *testing.T) {
 	data, err := os.ReadFile("testdata/fig6_v1_gob.log")
 	if err != nil {
 		t.Fatal(err)
 	}
+	mem := faultfs.NewMemFS()
+	f, err := mem.Create("v1.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(data)
+	f.Close()
+	rw, err := mem.OpenRW("v1.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
 
-	// The default reader refuses the old stream loudly, not with a garbled
-	// decode somewhere mid-file.
-	_, err = vyrd.ReadLog(bytes.NewReader(data))
-	if !errors.Is(err, vyrd.ErrLogFormatMismatch) {
-		t.Fatalf("v1 artifact under the v2 reader: got %v, want ErrLogFormatMismatch", err)
+	for _, tc := range []struct {
+		name string
+		read func() error
+	}{
+		{"ReadLog", func() error { _, err := vyrd.ReadLog(bytes.NewReader(data)); return err }},
+		{"ReadLogParallel", func() error { _, err := vyrd.ReadLogParallel(bytes.NewReader(data), 4); return err }},
+		{"CheckStream", func() error {
+			_, err := vyrd.CheckStream(bytes.NewReader(data), 4, spec.NewMultiset(), vyrd.WithMode(vyrd.ModeIO))
+			return err
+		}},
+		{"RecoverLogReader", func() error { _, _, err := vyrd.RecoverLogReader(bytes.NewReader(data)); return err }},
+		{"RecoverLog", func() error { _, _, err := vyrd.RecoverLog(rw); return err }},
+	} {
+		err := tc.read()
+		if !errors.Is(err, vyrd.ErrLogFormatMismatch) {
+			t.Fatalf("%s of the v1 artifact: got %v, want ErrLogFormatMismatch", tc.name, err)
+		}
+		for _, want := range []string{"format version 1", "reads versions 2-3"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not say %q", tc.name, err, want)
+			}
+		}
+		if strings.Contains(err.Error(), "Codec") {
+			t.Fatalf("%s: error %q points at a removed API", tc.name, err)
+		}
 	}
-	if !strings.Contains(err.Error(), "version") {
-		t.Fatalf("mismatch error does not mention the version: %v", err)
-	}
-
-	// Explicit gob decoding still reads it, and the trace means the same
-	// thing it did when written: view refinement flags the lost element.
-	entries, err := vyrd.ReadLogCodec(bytes.NewReader(data), vyrd.CodecGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("empty artifact")
-	}
-	rep, err := vyrd.CheckEntries(entries, spec.NewMultiset(),
-		vyrd.WithReplayer(multiset.NewReplayer()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ok() || rep.First().Kind != vyrd.ViolationView {
-		t.Fatalf("view check of the v1 artifact: %s", rep)
-	}
-
-	// Same verdicts as the current (version 2) artifact of the same run.
-	f, err := os.Open("testdata/fig6.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	v2, err := vyrd.ReadLog(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2Rep, err := vyrd.CheckEntries(v2, spec.NewMultiset(),
-		vyrd.WithReplayer(multiset.NewReplayer()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ok() != v2Rep.Ok() || rep.TotalViolations != v2Rep.TotalViolations ||
-		rep.First().MethodsCompleted != v2Rep.First().MethodsCompleted {
-		t.Fatalf("v1/v2 artifacts disagree:\nv1: %s\nv2: %s", rep, v2Rep)
+	if !bytes.Equal(mem.Bytes("v1.log"), data) {
+		t.Fatal("recovery modified a version-1 artifact it refused")
 	}
 }
 
@@ -387,6 +453,21 @@ func TestGoldenV2Artifact(t *testing.T) {
 		if a.Seq != b.Seq || a.Tid != b.Tid || a.Kind != b.Kind || a.Method != b.Method {
 			t.Fatalf("entry %d differs between v2 and v3 artifacts:\n%+v\n%+v", i, a, b)
 		}
+	}
+
+	// The streaming decoder reads it too: checking straight off the v2
+	// bytes prints the same report as checking the current artifact.
+	opts := []vyrd.Option{vyrd.WithReplayer(multiset.NewReplayer())}
+	streamed, err := vyrd.CheckStream(bytes.NewReader(data), 4, spec.NewMultiset(), opts...)
+	if err != nil {
+		t.Fatalf("streaming check of the v2 artifact: %v", err)
+	}
+	want, err := vyrd.CheckEntries(cur, spec.NewMultiset(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamed.String() != want.String() || want.Ok() {
+		t.Fatalf("v2 artifact's streamed report differs from the current artifact's:\nv2: %s\nv3: %s", streamed, want)
 	}
 
 	// Recovery scans v2 streams too (no checksums, but framing and sequence
