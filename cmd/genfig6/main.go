@@ -204,7 +204,7 @@ func genNoCommit(out string) {
 	if ioRep.Ok() || ioRep.First().Kind != vyrd.ViolationInstrumentation {
 		fatal(fmt.Errorf("artifact is not refinement-rejected as annotation-free:\n%s", ioRep))
 	}
-	linRep := linearize.CheckEntries(entries, linearize.MultisetSpec(), linearize.Options{})
+	linRep := linearize.CheckEntries(entries, linearize.For(spec.NewMultiset), linearize.Options{})
 	if !linRep.Ok() {
 		fatal(fmt.Errorf("linearizability check rejected the annotation-free artifact:\n%s", linRep))
 	}

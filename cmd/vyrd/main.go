@@ -122,10 +122,9 @@ func main() {
 	// commit-point annotations (e.g. Multiset-NoCommit).
 	var linSpec *linearize.Spec
 	if lin {
-		var err error
-		linSpec, err = bench.LinearizeSpec(*subject)
-		if err != nil {
-			fatal(err)
+		var ok bool
+		if linSpec, ok = bench.LinearizeSpecOf(target.NewSpec); !ok {
+			fatal(fmt.Errorf("-mode linearize: %s's specification %T is not a spec.Linearizable", *subject, target.NewSpec()))
 		}
 	}
 	checkLin := func(entries []vyrd.Entry) *vyrd.Report {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/racecheck"
 )
 
@@ -26,6 +27,42 @@ func TestSubjectsComplete(t *testing.T) {
 	}
 	if _, ok := SubjectByName("nope"); ok {
 		t.Fatal("SubjectByName invented a subject")
+	}
+
+	// Every subject some engine checks for linearizability resolves its
+	// linearizer from its own specification — by interface, not by a table
+	// of subject names — for the correct and the buggy target alike, and
+	// through the by-name lookup and the remote registry too.
+	linearizable := append(AllSubjects(), ExplorationSubjects()...)
+	linearizable = append(linearizable, LinearizeOnlySubjects()...)
+	reg := Registry()
+	for _, s := range linearizable {
+		for _, target := range []harness.Target{s.Correct, s.Buggy} {
+			if NewLinearizer(target.NewSpec) == nil {
+				t.Fatalf("%s: specification %T is not spec.Linearizable", s.Name, target.NewSpec())
+			}
+		}
+		if _, err := LinearizeSpec(s.Name); err != nil {
+			t.Fatal(err)
+		}
+		if f, ok := reg.Lookup(s.Name); !ok || f.NewLinearizer == nil {
+			t.Fatalf("%s: the registry offers no linearizer", s.Name)
+		}
+	}
+	// The stack, register and ledger specifications carry no Clone: no
+	// subject checks them for linearizability.
+	for _, s := range append(WeakMemorySubjects(), TemporalSubjects()...) {
+		if NewLinearizer(s.Correct.NewSpec) != nil {
+			t.Fatalf("%s: unexpectedly linearizable", s.Name)
+		}
+	}
+	// The composed stack interleaves two vocabularies in one log and is
+	// checked per module: it is not a subject and resolves no linearizer.
+	if _, err := LinearizeSpec("BLinkTree+Store"); err == nil {
+		t.Fatal("the composed BLinkTree+Store stack resolved a linearizability spec")
+	}
+	if f, ok := reg.Lookup("BLinkTree+Store"); !ok || f.NewLinearizer != nil {
+		t.Fatalf("the composed stack's registry entry (found %v) offers a linearizer", ok)
 	}
 }
 

@@ -7,29 +7,32 @@ import (
 	"repro/internal/explore"
 	"repro/internal/harness"
 	"repro/internal/linearize"
+	"repro/internal/spec"
 	"repro/internal/wal"
 	"repro/vyrd"
 )
 
-// LinearizeSpec maps a subject name to its linearizability spec family —
-// the functional model, observer classification and partition keys the
-// engine checks call/return histories against. Every evaluation and
-// exploration subject resolves; the composed modular stack does not (its
+// LinearizeSpecOf derives the linearizability engine's spec from a
+// subject's own executable specification: the model the engine searches
+// over is that specification, frozen. ok=false when the specification is
+// not spec.Linearizable — the stack, register and ledger subjects, which
+// nothing checks for linearizability.
+func LinearizeSpecOf(newSpec func() core.Spec) (sp *linearize.Spec, ok bool) {
+	if _, ok := newSpec().(spec.Linearizable); !ok {
+		return nil, false
+	}
+	return linearize.For(func() spec.Linearizable { return newSpec().(spec.Linearizable) }), true
+}
+
+// LinearizeSpec is LinearizeSpecOf for a subject looked up by name. Every
+// evaluation and exploration subject with a linearizable specification
+// resolves; the composed modular stack is not a subject and does not (its
 // log interleaves two vocabularies and is checked per module instead).
 func LinearizeSpec(subject string) (*linearize.Spec, error) {
-	switch subject {
-	case "Multiset-Array", "Multiset-Vector", "Multiset-BinaryTree", "Multiset-TornPair", "Multiset-NoCommit":
-		return linearize.MultisetSpec(), nil
-	case "java.util.Vector":
-		return linearize.VectorSpec(), nil
-	case "java.util.StringBuffer":
-		return linearize.StringBufferSpec(4), nil
-	case "BLinkTree", "BLinkTree-on-Cache", "BLinkTree-DroppedLock":
-		return linearize.KVSpec(), nil
-	case "Cache", "Cache-TornUpdate":
-		return linearize.StoreSpec(), nil
-	case "ScanFS":
-		return linearize.FSSpec(), nil
+	if s, ok := SubjectByName(subject); ok {
+		if sp, ok := LinearizeSpecOf(s.Correct.NewSpec); ok {
+			return sp, nil
+		}
 	}
 	return nil, fmt.Errorf("bench: no linearizability spec for subject %q", subject)
 }
@@ -39,12 +42,12 @@ func LinearizeSpec(subject string) (*linearize.Spec, error) {
 // than a verdict.
 const linearizeBudget = 1 << 24
 
-// NewLinearizer builds the streaming linearizability checker for a
-// subject, or nil if the subject has no linearize spec (the shape the
+// NewLinearizer builds the streaming linearizability checker over a
+// subject's specification, or nil if it is not linearizable (the shape the
 // remote SpecFactory wants).
-func NewLinearizer(subject string) func() core.EntryChecker {
-	sp, err := LinearizeSpec(subject)
-	if err != nil {
+func NewLinearizer(newSpec func() core.Spec) func() core.EntryChecker {
+	sp, ok := LinearizeSpecOf(newSpec)
+	if !ok {
 		return nil
 	}
 	return func() core.EntryChecker {

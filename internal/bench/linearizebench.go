@@ -72,7 +72,7 @@ func LinearizeTable(cfg LinearizeConfig) ([]LinearizeRow, error) {
 		row := LinearizeRow{Width: w, Ops: w + 1}
 
 		start := time.Now()
-		en := linearize.CheckTrace(entries, linearize.VectorSpec(), linearize.Options{})
+		en := linearize.CheckTrace(entries, linearize.For(spec.NewVector), linearize.Options{})
 		row.EngineNS = time.Since(start).Nanoseconds()
 		row.EngineStates = en.StatesExplored
 		if en.Aborted || !en.Linearizable {
@@ -142,7 +142,7 @@ func linearizeMemoHistory(rounds, width int) []vyrd.Entry {
 // streams of one history, as fleet sessions replay it.
 func LinearizeMemoTable(sessions []int) ([]LinearizeMemoRow, error) {
 	entries := linearizeMemoHistory(64, 4)
-	sp := linearize.MultisetSpec()
+	sp := linearize.For(spec.NewMultiset)
 	var rows []LinearizeMemoRow
 	for _, n := range sessions {
 		if n < 2 {
@@ -238,7 +238,7 @@ func linearizeParallelHistory(keys, width, rounds int) []vyrd.Entry {
 // table records the wall-clock effect alone.
 func LinearizeParallelTable(widths []int) ([]LinearizeParallelRow, error) {
 	entries := linearizeParallelHistory(32, 6, 24)
-	sp := linearize.MultisetSpec()
+	sp := linearize.For(spec.NewMultiset)
 	ops := linearize.Extract(entries, sp.IsMutator)
 	var rows []LinearizeParallelRow
 	for _, workers := range widths {

@@ -24,7 +24,7 @@ func Registry() *remote.Registry {
 		if t.NewReplayer != nil {
 			f.NewReplayer = func() core.Replayer { return t.NewReplayer() }
 		}
-		f.NewLinearizer = NewLinearizer(s.Name)
+		f.NewLinearizer = NewLinearizer(t.NewSpec)
 		f.NewTemporal = NewTemporal(s.Name)
 		if err := r.Register(f); err != nil {
 			panic(err) // subject names are unique by construction

@@ -2,7 +2,6 @@ package jvector
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/event"
 	"repro/internal/view"
@@ -10,8 +9,8 @@ import (
 
 // Replayer reconstructs the vector contents from the logged writes and
 // maintains viewI in the same canonical form as the Vector specification's
-// viewS: "len" plus "i:<index>" entries. Updates touch only the indices the
-// operation moved, so maintenance is proportional to the shift distance.
+// viewS: one "i:<index>" entry per element. Updates touch only the indices
+// the operation moved, so maintenance is proportional to the shift distance.
 //
 // Write operations:
 //
@@ -35,24 +34,22 @@ func NewReplayer() *Replayer {
 func (r *Replayer) Reset() {
 	r.elems = nil
 	r.table = view.NewTable()
-	r.table.Set("len", "0")
 }
+
+// spaceI is the view key family of vector indices, shared by name with
+// spec.Vector so spec and replica views land in the same key universe.
+var spaceI = view.NewSpace("i")
 
 // View implements core.Replayer.
 func (r *Replayer) View() *view.Table { return r.table }
 
-func (r *Replayer) setIndex(i int) {
-	r.table.Set("i:"+strconv.Itoa(i), strconv.Itoa(r.elems[i]))
-}
-
 func (r *Replayer) refreshFrom(i, oldLen int) {
 	for ; i < len(r.elems); i++ {
-		r.setIndex(i)
+		r.table.SetInt(spaceI, int64(i), int64(r.elems[i]))
 	}
-	for j := len(r.elems); j < oldLen; j++ {
-		r.table.Delete("i:" + strconv.Itoa(j))
+	for ; i < oldLen; i++ {
+		r.table.DeleteInt(spaceI, int64(i))
 	}
-	r.table.Set("len", strconv.Itoa(len(r.elems)))
 }
 
 // Apply implements core.Replayer.

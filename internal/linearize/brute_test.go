@@ -1,8 +1,8 @@
 package linearize
 
 import (
-	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/spec"
 )
 
 // This file is the retained baseline checker ("the strawman"): the naive
@@ -96,9 +96,12 @@ func cutAtQuiescence(ops []Op) [][]Op {
 }
 
 // CheckBruteTrace is the baseline's convenience entry point: extract the
-// ops of a recorded trace and search, using the spec-derived mutator
-// classification.
-func CheckBruteTrace(entries []event.Entry, spec core.Spec, initial Model, maxStates int64) Result {
-	ops := Extract(entries, spec.IsMutator)
-	return CheckBrute(ops, initial, maxStates)
+// ops of a recorded trace and search from the spec's initial state.
+func CheckBruteTrace(entries []event.Entry, sp *Spec, maxStates int64) Result {
+	return CheckBrute(Extract(entries, sp.IsMutator), sp.New(), maxStates)
+}
+
+// stringBufferSpec is the four-buffer family the harness subject runs.
+func stringBufferSpec() *Spec {
+	return For(func() *spec.StringBuffers { return spec.NewStringBuffers(4) })
 }

@@ -76,7 +76,7 @@ func FuzzLinearizeArbitraryHistory(f *testing.F) {
 	f.Add([]byte{6, 0, 0, 7, 1, 1, 2, 3, 4, 3, 2, 1})
 	f.Add([]byte{1, 3, 2, 1, 1, 0, 2, 3, 5, 2, 1, 1, 3, 4, 7, 3, 1, 2})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
-	sp := MultisetSpec()
+	sp := For(spec.NewMultiset)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries := decodeHistory(data)
 
@@ -90,7 +90,7 @@ func FuzzLinearizeArbitraryHistory(f *testing.F) {
 		if maxOverlapWidth(ops) > 6 {
 			return
 		}
-		brute := CheckBruteTrace(entries, spec.NewMultiset(), NewMultisetModel(), 200_000)
+		brute := CheckBruteTrace(entries, sp, 200_000)
 		if brute.Aborted || eng.Aborted {
 			return
 		}

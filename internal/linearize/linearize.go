@@ -10,8 +10,15 @@
 // linearization. A streaming Checker wraps the engine behind the
 // core.EntryChecker surface so linearizability rides the same log
 // pipeline, Multi fan-out and remote protocol as refinement, with an
-// interval-bounded frontier fast path for fixed-domain models that
-// verifies segment by segment at quiescent cuts.
+// interval-bounded frontier fast path for fixed-domain specifications
+// that verifies segment by segment at quiescent cuts.
+//
+// The engine has no specifications of its own. What it searches over is
+// the executable specification the refinement checker runs (internal/spec,
+// the paper's method-atomic transition system of Section 3.2), frozen: For
+// derives a Spec from any spec.Linearizable, and the one Model in this
+// package, frozen, steps a private copy of it. A data type is specified
+// once, so the two verdict engines cannot disagree about its semantics.
 //
 // The two verdicts relate but differ: a linearizability failure on a
 // complete log implies an I/O-refinement failure on the same log, while
@@ -40,9 +47,12 @@ type Op struct {
 }
 
 // Model is a purely functional specification state: Step returns the
-// successor state for a mutator (or nil if the transition is impossible),
-// and Check validates an observer at the current state. Fingerprint keys
-// the memoization table; states with equal fingerprints must be equal.
+// successor state for a mutator (or nil if the transition is impossible)
+// and leaves the receiver as it was, and Check validates an observer at
+// the current state. Fingerprint keys the memoization table; states with
+// equal fingerprints must be equal. The engine, the frontier and the
+// brute-force oracle are written against this interface; frozen (spec.go)
+// is its one implementation.
 type Model interface {
 	Step(op Op) (Model, bool)
 	Check(op Op) bool

@@ -35,8 +35,8 @@ func (b *traceBuilder) ret(tid int32, m string, v event.Value) {
 // the engine's result.
 func checkBoth(t *testing.T, b *traceBuilder) Result {
 	t.Helper()
-	sp := MultisetSpec()
-	brute := CheckBruteTrace(b.entries, spec.NewMultiset(), NewMultisetModel(), 1_000_000)
+	sp := For(spec.NewMultiset)
+	brute := CheckBruteTrace(b.entries, sp, 1_000_000)
 	eng := CheckTrace(b.entries, sp, Options{MaxStates: 1_000_000})
 	if eng.Aborted {
 		t.Fatalf("engine aborted on a small trace: %s", eng)
@@ -185,14 +185,14 @@ func TestMemoizationPrunes(t *testing.T) {
 	for i := 0; i < k; i++ {
 		b.ret(int32(i+1), "Insert", false) // all unsuccessful: state never changes
 	}
-	brute := CheckBruteTrace(b.entries, spec.NewMultiset(), NewMultisetModel(), 1_000_000)
+	brute := CheckBruteTrace(b.entries, For(spec.NewMultiset), 1_000_000)
 	if !brute.Linearizable {
 		t.Fatalf("brute rejected: %s", brute)
 	}
 	if brute.StatesExplored > 10_000 {
 		t.Fatalf("brute memoization ineffective: %d states for a collapsing trace", brute.StatesExplored)
 	}
-	eng := CheckTrace(b.entries, MultisetSpec(), Options{MaxStates: 1_000_000})
+	eng := CheckTrace(b.entries, For(spec.NewMultiset), Options{MaxStates: 1_000_000})
 	if !eng.Linearizable {
 		t.Fatalf("engine rejected: %s", eng)
 	}
@@ -217,11 +217,11 @@ func TestStateBudgetAborts(t *testing.T) {
 	}
 	b.call(99, "LookUp", 1)
 	b.ret(99, "LookUp", false) // impossible: k copies of 1 were inserted
-	res := CheckBruteTrace(b.entries, spec.NewMultiset(), NewMultisetModel(), 50)
+	res := CheckBruteTrace(b.entries, For(spec.NewMultiset), 50)
 	if !res.Aborted {
 		t.Fatalf("expected an aborted brute search, got %s", res)
 	}
-	eng := CheckTrace(b.entries, MultisetSpec(), Options{MaxStates: 5})
+	eng := CheckTrace(b.entries, For(spec.NewMultiset), Options{MaxStates: 5})
 	if !eng.Aborted {
 		t.Fatalf("expected an aborted engine search, got %s", eng)
 	}
@@ -249,13 +249,13 @@ func TestExponentialGrowthWithOverlapWidth(t *testing.T) {
 		}
 		b.call(99, "LookUp", 999)
 		b.ret(99, "LookUp", true)
-		res := CheckBruteTrace(b.entries, spec.NewMultiset(), NewMultisetModel(), 1_000_000)
+		res := CheckBruteTrace(b.entries, For(spec.NewMultiset), 1_000_000)
 		if res.Linearizable {
 			t.Fatalf("k=%d accepted an impossible observation", k)
 		}
 		explored = append(explored, res.StatesExplored)
 
-		eng := CheckTrace(b.entries, MultisetSpec(), Options{MaxStates: 1_000_000})
+		eng := CheckTrace(b.entries, For(spec.NewMultiset), Options{MaxStates: 1_000_000})
 		if eng.Linearizable || eng.Aborted {
 			t.Fatalf("k=%d: engine verdict wrong: %s", k, eng)
 		}
@@ -291,19 +291,19 @@ func TestEngineBeatsBruteAtWidth16(t *testing.T) {
 	b.call(99, "Size")
 	b.ret(99, "Size", k)
 
-	vb := NewVectorModel()
-	brute := CheckBrute(Extract(b.entries, VectorSpec().IsMutator), vb, 200_000)
+	sp := For(spec.NewVector)
+	brute := CheckBruteTrace(b.entries, sp, 200_000)
 	if !brute.Aborted {
 		t.Fatalf("brute finished a width-%d Vector history: %s", k, brute)
 	}
 
 	start := time.Now()
-	eng := CheckTrace(b.entries, VectorSpec(), Options{})
+	eng := CheckTrace(b.entries, sp, Options{})
 	elapsed := time.Since(start)
 	if !eng.Linearizable {
 		t.Fatalf("engine rejected a clean width-%d history: %s", k, eng)
 	}
-	replayWitness(t, Extract(b.entries, VectorSpec().IsMutator), eng.Witness, NewVectorModel())
+	replayWitness(t, Extract(b.entries, sp.IsMutator), eng.Witness, sp.New())
 	if elapsed > time.Second {
 		t.Fatalf("engine took %v on a width-%d history; must be under 1s", elapsed, k)
 	}
@@ -325,7 +325,7 @@ func TestEngineRefutesWideVector(t *testing.T) {
 	}
 	b.call(99, "Size")
 	b.ret(99, "Size", k+1) // impossible: only k elements were ever added
-	eng := CheckTrace(b.entries, VectorSpec(), Options{MaxStates: 5_000_000})
+	eng := CheckTrace(b.entries, For(spec.NewVector), Options{MaxStates: 5_000_000})
 	if eng.Linearizable || eng.Aborted {
 		t.Fatalf("engine verdict wrong on impossible Size: %s", eng)
 	}
@@ -354,7 +354,7 @@ func TestPartitioning(t *testing.T) {
 	b.ret(1, "Insert", true)
 	b.call(1, "Compress")
 	b.ret(1, "Compress", nil)
-	sp := MultisetSpec()
+	sp := For(spec.NewMultiset)
 	res := CheckTrace(b.entries, sp, Options{})
 	if !res.Linearizable || res.Components != 3 {
 		t.Fatalf("expected 3 components (two elements + one stateless daemon op), got %s with %d", res, res.Components)
@@ -383,11 +383,11 @@ func TestPartitioning(t *testing.T) {
 // implementations on randomized small histories — including many
 // non-linearizable ones, since returns are invented rather than observed.
 func TestEngineAgreesWithBruteOnRandomHistories(t *testing.T) {
-	sp := MultisetSpec()
+	sp := For(spec.NewMultiset)
 	for seed := int64(0); seed < 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		entries := randomMultisetHistory(r, 3, 6)
-		brute := CheckBruteTrace(entries, spec.NewMultiset(), NewMultisetModel(), 2_000_000)
+		brute := CheckBruteTrace(entries, For(spec.NewMultiset), 2_000_000)
 		eng := CheckTrace(entries, sp, Options{MaxStates: 2_000_000})
 		if brute.Aborted || eng.Aborted {
 			continue
@@ -470,20 +470,21 @@ func TestAgreementWithVYRDOnCorrectTraces(t *testing.T) {
 		if !vyrdRep.Ok() {
 			t.Fatalf("seed %d: VYRD flagged a correct run:\n%s", seed, vyrdRep)
 		}
-		lin := CheckBruteTrace(entries, spec.NewMultiset(), NewMultisetModel(), 5_000_000)
+		sp := For(spec.NewMultiset)
+		lin := CheckBruteTrace(entries, sp, 5_000_000)
 		if lin.Aborted {
 			t.Logf("seed %d: baseline aborted after %d states (expected for wide overlaps)", seed, lin.StatesExplored)
 		} else if !lin.Linearizable {
 			t.Fatalf("seed %d: baseline rejected a trace VYRD accepts", seed)
 		}
-		eng := CheckTrace(entries, MultisetSpec(), Options{MaxStates: 5_000_000})
+		eng := CheckTrace(entries, sp, Options{MaxStates: 5_000_000})
 		if eng.Aborted {
 			t.Fatalf("seed %d: engine aborted on a real trace: %s", seed, eng)
 		}
 		if !eng.Linearizable {
 			t.Fatalf("seed %d: engine rejected a trace VYRD accepts: %s", seed, eng)
 		}
-		replayWitness(t, Extract(entries, MultisetSpec().IsMutator), eng.Witness, NewMultisetModel())
+		replayWitness(t, Extract(entries, sp.IsMutator), eng.Witness, sp.New())
 	}
 }
 
@@ -505,13 +506,13 @@ func TestKVModelAgreementOnBLinkTreeTraces(t *testing.T) {
 		if !vyrdRep.Ok() {
 			t.Fatalf("seed %d: VYRD flagged a correct run:\n%s", seed, vyrdRep)
 		}
-		lin := CheckBruteTrace(entries, spec.NewKV(), NewKVModel(), 5_000_000)
+		lin := CheckBruteTrace(entries, For(spec.NewKV), 5_000_000)
 		if lin.Aborted {
 			t.Logf("seed %d: baseline aborted (widest segment %d)", seed, lin.MaxSegment)
 		} else if !lin.Linearizable {
 			t.Fatalf("seed %d: baseline rejected a trace VYRD accepts: %s", seed, lin)
 		}
-		eng := CheckTrace(entries, KVSpec(), Options{MaxStates: 5_000_000})
+		eng := CheckTrace(entries, For(spec.NewKV), Options{MaxStates: 5_000_000})
 		if eng.Aborted || !eng.Linearizable {
 			t.Fatalf("seed %d: engine verdict wrong on a correct run: %s", seed, eng)
 		}
@@ -528,10 +529,10 @@ func TestKVModelRejectsImpossible(t *testing.T) {
 	b.ret(1, "Delete", true)
 	b.call(1, "Lookup", 5)
 	b.ret(1, "Lookup", 50)
-	if res := CheckTrace(b.entries, KVSpec(), Options{}); res.Linearizable {
+	if res := CheckTrace(b.entries, For(spec.NewKV), Options{}); res.Linearizable {
 		t.Fatal("impossible lookup accepted")
 	}
-	if res := CheckBruteTrace(b.entries, spec.NewKV(), NewKVModel(), 1_000_000); res.Linearizable {
+	if res := CheckBruteTrace(b.entries, For(spec.NewKV), 1_000_000); res.Linearizable {
 		t.Fatal("brute accepted the impossible lookup")
 	}
 	// The valid dual passes.
@@ -540,13 +541,14 @@ func TestKVModelRejectsImpossible(t *testing.T) {
 	b.ret(1, "Insert", nil)
 	b.call(1, "Lookup", 5)
 	b.ret(1, "Lookup", 50)
-	if res := CheckTrace(b.entries, KVSpec(), Options{}); !res.Linearizable {
+	if res := CheckTrace(b.entries, For(spec.NewKV), Options{}); !res.Linearizable {
 		t.Fatalf("valid lookup rejected: %s", res)
 	}
 }
 
-// TestNewModels exercises the four new functional models on short
-// scenarios, including the exceptional-termination conditions.
+// TestNewModels exercises the models derived from the vector,
+// stringbuffer, store and fs specifications on short scenarios, including
+// the exceptional-termination conditions.
 func TestNewModels(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
 		var b traceBuilder
@@ -562,12 +564,12 @@ func TestNewModels(t *testing.T) {
 		b.ret(1, "RemoveElementAt", event.Exceptional{Reason: "index out of range"})
 		b.call(1, "Size")
 		b.ret(1, "Size", 2)
-		if res := CheckTrace(b.entries, VectorSpec(), Options{}); !res.Linearizable {
+		if res := CheckTrace(b.entries, For(spec.NewVector), Options{}); !res.Linearizable {
 			t.Fatalf("valid vector trace rejected: %s", res)
 		}
 		b.call(1, "ElementAt", 9)
 		b.ret(1, "ElementAt", 1) // impossible: out of range must be exceptional
-		if res := CheckTrace(b.entries, VectorSpec(), Options{}); res.Linearizable {
+		if res := CheckTrace(b.entries, For(spec.NewVector), Options{}); res.Linearizable {
 			t.Fatal("out-of-range ElementAt with a value accepted")
 		}
 	})
@@ -586,12 +588,12 @@ func TestNewModels(t *testing.T) {
 		b.ret(1, "Length", 1)
 		b.call(1, "SetLength", 0, -1)
 		b.ret(1, "SetLength", event.Exceptional{Reason: "negative length"})
-		if res := CheckTrace(b.entries, StringBufferSpec(4), Options{}); !res.Linearizable {
+		if res := CheckTrace(b.entries, stringBufferSpec(), Options{}); !res.Linearizable {
 			t.Fatalf("valid stringbuffer trace rejected: %s", res)
 		}
 		b.call(1, "AppendBuffer", 0, 1)
 		b.ret(1, "AppendBuffer", event.Exceptional{Reason: "torn append"}) // never permitted: the paper's bug
-		if res := CheckTrace(b.entries, StringBufferSpec(4), Options{}); res.Linearizable {
+		if res := CheckTrace(b.entries, stringBufferSpec(), Options{}); res.Linearizable {
 			t.Fatal("exceptional AppendBuffer accepted")
 		}
 	})
@@ -606,12 +608,12 @@ func TestNewModels(t *testing.T) {
 		b.ret(1, "Read", []byte("xyz"))
 		b.call(1, "Read", 4)
 		b.ret(1, "Read", nil)
-		if res := CheckTrace(b.entries, StoreSpec(), Options{}); !res.Linearizable {
+		if res := CheckTrace(b.entries, For(spec.NewStore), Options{}); !res.Linearizable {
 			t.Fatalf("valid store trace rejected: %s", res)
 		}
 		b.call(1, "Read", 3)
 		b.ret(1, "Read", []byte("wrong"))
-		if res := CheckTrace(b.entries, StoreSpec(), Options{}); res.Linearizable {
+		if res := CheckTrace(b.entries, For(spec.NewStore), Options{}); res.Linearizable {
 			t.Fatal("stale read accepted")
 		}
 	})
@@ -630,12 +632,12 @@ func TestNewModels(t *testing.T) {
 		b.ret(1, "Delete", true)
 		b.call(1, "ReadFile", "f")
 		b.ret(1, "ReadFile", nil)
-		if res := CheckTrace(b.entries, FSSpec(), Options{}); !res.Linearizable {
+		if res := CheckTrace(b.entries, For(spec.NewFS), Options{}); !res.Linearizable {
 			t.Fatalf("valid fs trace rejected: %s", res)
 		}
 		b.call(1, "Create", "f")
 		b.ret(1, "Create", false) // impossible: f was deleted, creation must succeed
-		if res := CheckTrace(b.entries, FSSpec(), Options{}); res.Linearizable {
+		if res := CheckTrace(b.entries, For(spec.NewFS), Options{}); res.Linearizable {
 			t.Fatal("failed create of an absent file accepted")
 		}
 	})
@@ -654,7 +656,7 @@ func TestStreamingChecker(t *testing.T) {
 		// quiescent cut here
 		b.call(1, "LookUp", 1)
 		b.ret(1, "LookUp", true)
-		rep := CheckEntries(b.entries, MultisetSpec(), Options{})
+		rep := CheckEntries(b.entries, For(spec.NewMultiset), Options{})
 		if !rep.Ok() || rep.Mode != core.ModeLinearize {
 			t.Fatalf("clean trace flagged: %s", rep)
 		}
@@ -672,7 +674,7 @@ func TestStreamingChecker(t *testing.T) {
 		failSeq := b.seq
 		b.call(1, "Insert", 2)
 		b.ret(1, "Insert", true)
-		rep := CheckEntries(b.entries, MultisetSpec(), Options{})
+		rep := CheckEntries(b.entries, For(spec.NewMultiset), Options{})
 		if rep.Ok() {
 			t.Fatal("violating trace accepted")
 		}
@@ -693,14 +695,14 @@ func TestStreamingChecker(t *testing.T) {
 		b.ret(2, "AddElement", nil)
 		b.call(1, "Size")
 		b.ret(1, "Size", 2)
-		rep := CheckEntries(b.entries, VectorSpec(), Options{})
+		rep := CheckEntries(b.entries, For(spec.NewVector), Options{})
 		if !rep.Ok() {
 			t.Fatalf("clean vector trace flagged: %s", rep)
 		}
 	})
 
 	t.Run("feed-after-finish-panics", func(t *testing.T) {
-		c := NewChecker(MultisetSpec(), Options{})
+		c := NewChecker(For(spec.NewMultiset), Options{})
 		c.Finish()
 		defer func() {
 			if recover() == nil {
@@ -716,7 +718,7 @@ func TestStreamingChecker(t *testing.T) {
 		b.call(1, "Insert", 2) // same thread calls again without returning
 		b.ret(2, "Delete", true)
 		b.ret(1, "Insert", true)
-		rep := CheckEntries(b.entries, MultisetSpec(), Options{})
+		rep := CheckEntries(b.entries, For(spec.NewMultiset), Options{})
 		if !rep.Ok() {
 			t.Fatalf("torn history should check its single completed op: %s", rep)
 		}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/spec"
 )
 
 // randomMultisetTrace builds a well-formed concurrent multiset history:
@@ -43,7 +45,7 @@ func randomMultisetTrace(seed int64, nKeys, opsPerKey int) *traceBuilder {
 // count and same states explored, for every pool width — the reduction in
 // component order makes scheduling invisible.
 func TestParallelComponentsMatchSerial(t *testing.T) {
-	sp := MultisetSpec()
+	sp := For(spec.NewMultiset)
 	for seed := int64(1); seed <= 6; seed++ {
 		b := randomMultisetTrace(seed, 8, 6)
 		ops := Extract(b.entries, sp.IsMutator)
@@ -80,7 +82,7 @@ func TestParallelComponentsMatchSerial(t *testing.T) {
 // failing history: the violation lands on the same component (and FailSeq)
 // however many workers run.
 func TestParallelVerdictOnViolation(t *testing.T) {
-	sp := MultisetSpec()
+	sp := For(spec.NewMultiset)
 	b := randomMultisetTrace(7, 6, 4)
 	// Append an impossible observation on its own key: LookUp sees an
 	// element that was never inserted.
@@ -106,7 +108,7 @@ func TestParallelVerdictOnViolation(t *testing.T) {
 // parallel search over an oversized history still aborts rather than
 // running unbounded.
 func TestParallelSharedBudget(t *testing.T) {
-	sp := MultisetSpec()
+	sp := For(spec.NewMultiset)
 	b := randomMultisetTrace(11, 8, 8)
 	ops := Extract(b.entries, sp.IsMutator)
 	par := Check(ops, sp, Options{MaxStates: 3, Parallel: 4})

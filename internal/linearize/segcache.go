@@ -19,8 +19,10 @@ import (
 // segment's observable content — methods, arguments, returns and the
 // real-time overlap structure, nothing else — so its reachable end-state
 // set can be reused wherever that exact pair recurs. Models are immutable
-// by contract (Step returns a fresh state), which is what makes sharing
-// the cached states across goroutines safe.
+// by contract (Step mutates a private copy and publishes it afterwards;
+// Check and Fingerprint write nothing — spec's conformance tests hold the
+// specifications to that under the race detector), which is what makes
+// sharing the cached states across goroutines safe.
 //
 // Aborted searches are never cached: an abort reflects the budget, not
 // the history, and a different caller may have budget to finish it.

@@ -33,8 +33,8 @@ func TestSegmentCacheVerdictParity(t *testing.T) {
 	ResetSegmentCache()
 	cold := make([]core.Summary, len(histories))
 	for i, h := range histories {
-		cold[i] = normalized(CheckEntries(h, MultisetSpec(), Options{MaxStates: 1 << 22}).Summary())
-		br := CheckBruteTrace(h, spec.NewMultiset(), NewMultisetModel(), 1<<22)
+		cold[i] = normalized(CheckEntries(h, For(spec.NewMultiset), Options{MaxStates: 1 << 22}).Summary())
+		br := CheckBruteTrace(h, For(spec.NewMultiset), 1<<22)
 		if !br.Aborted && br.Linearizable == (cold[i].TotalViolations > 0) {
 			t.Fatalf("history %d: brute (lin=%v) disagrees with cold streaming verdict %+v",
 				i, br.Linearizable, cold[i])
@@ -48,7 +48,7 @@ func TestSegmentCacheVerdictParity(t *testing.T) {
 	// cache — every summary must be identical to its cold twin.
 	before := SegmentCacheStats()
 	for i, h := range histories {
-		warm := normalized(CheckEntries(h, MultisetSpec(), Options{MaxStates: 1 << 22}).Summary())
+		warm := normalized(CheckEntries(h, For(spec.NewMultiset), Options{MaxStates: 1 << 22}).Summary())
 		if warm != cold[i] {
 			t.Fatalf("history %d verdict changed under a warm cache:\ncold: %+v\nwarm: %+v", i, cold[i], warm)
 		}
@@ -75,7 +75,7 @@ func TestSegmentCachePositionIndependence(t *testing.T) {
 		b.call(1, "Delete", 1)
 		b.ret(1, "Delete", true)
 	}
-	rep := CheckEntries(b.entries, MultisetSpec(), Options{})
+	rep := CheckEntries(b.entries, For(spec.NewMultiset), Options{})
 	if !rep.Ok() {
 		t.Fatalf("clean alternating trace flagged: %s", rep)
 	}
@@ -102,12 +102,12 @@ func TestSegmentCacheCachesRefutations(t *testing.T) {
 		b.ret(1, "LookUp", true)
 		return b.entries
 	}
-	cold := normalized(CheckEntries(build(), MultisetSpec(), Options{}).Summary())
+	cold := normalized(CheckEntries(build(), For(spec.NewMultiset), Options{}).Summary())
 	if cold.TotalViolations == 0 {
 		t.Fatal("impossible LookUp accepted cold")
 	}
 	before := SegmentCacheStats()
-	warm := normalized(CheckEntries(build(), MultisetSpec(), Options{}).Summary())
+	warm := normalized(CheckEntries(build(), For(spec.NewMultiset), Options{}).Summary())
 	if warm != cold {
 		t.Fatalf("refutation changed under a warm cache:\ncold: %+v\nwarm: %+v", cold, warm)
 	}

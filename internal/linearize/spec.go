@@ -2,38 +2,70 @@ package linearize
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/spec"
 )
 
 // Spec bundles everything the engine needs to know about one data type:
-// how to build its functional model, which methods are observers, and how
-// its operations partition.
+// how to build its initial model state, which methods are observers, and
+// how its operations partition. For derives it from the type's executable
+// specification; nothing here is written per data type.
 type Spec struct {
-	// Name labels reports and diagnostics.
+	// Name labels reports and diagnostics and keys the segment cache: the
+	// specification's Go type.
 	Name string
 	// New returns the initial model state.
 	New func() Model
-	// IsMutator classifies methods, mirroring the core.Spec predicate.
+	// IsMutator classifies methods, as the specification does.
 	IsMutator func(method string) bool
 	// Keys assigns each op the keys/elements it touches, for
-	// P-compositional partitioning. ok=false marks a global op — its
-	// presence disables partitioning for the whole history. An empty key
-	// set with ok=true marks a state-independent op (a daemon's Compress),
-	// checked as its own singleton component. A nil Keys disables
-	// partitioning entirely (order-sensitive types like Vector).
+	// P-compositional partitioning (spec.Linearizable.Keys).
 	Keys func(op Op) ([]string, bool)
-	// FixedDomain marks models whose reachable state space is small (maps
-	// over a bounded key domain with bounded values, in practice). The
-	// streaming Checker uses it to verify interval by interval at
-	// quiescent cuts, carrying the reachable state frontier, instead of
-	// buffering the history for one search at the end.
+	// FixedDomain lets the streaming Checker verify interval by interval
+	// at quiescent cuts (spec.Linearizable.FixedDomain).
 	FixedDomain bool
 }
+
+// For derives the engine's Spec from an executable specification: the
+// constructor's result, frozen, is the initial model state.
+func For[S spec.Linearizable](newSpec func() S) *Spec {
+	probe := newSpec() // classification and partitioning read no state
+	return &Spec{
+		Name:        fmt.Sprintf("%T", probe),
+		New:         func() Model { return frozen{newSpec()} },
+		IsMutator:   probe.IsMutator,
+		Keys:        func(op Op) ([]string, bool) { return probe.Keys(op.Method, op.Args) },
+		FixedDomain: probe.FixedDomain(),
+	}
+}
+
+// frozen is the engine's one Model: an executable specification that is
+// never mutated once it is reachable from a frozen value. Step applies the
+// mutator to a private copy and publishes the copy only on success, so
+// undoing a linearization step is restoring a pointer, and published
+// states can be shared across goroutines (the segment cache does).
+type frozen struct{ s spec.Linearizable }
+
+// Step implements Model.
+func (m frozen) Step(op Op) (Model, bool) {
+	next := m.s.Clone()
+	if next.ApplyMutator(op.Method, op.Args, op.Ret) != nil {
+		return nil, false
+	}
+	return frozen{next}, true
+}
+
+// Check implements Model.
+func (m frozen) Check(op Op) bool { return m.s.CheckObserver(op.Method, op.Args, op.Ret) }
+
+// Fingerprint implements Model: the view table's incrementally maintained
+// hash. The view determines the specification state, so equal fingerprints
+// mean equal states up to a 64-bit collision.
+func (m frozen) Fingerprint() uint64 { return m.s.View().Hash() }
 
 // Options tune a search.
 type Options struct {
@@ -154,197 +186,4 @@ func CheckEntries(entries []event.Entry, sp *Spec, o Options) *core.Report {
 		c.Feed(e)
 	}
 	return c.Finish()
-}
-
-// ---- Per-subject specs -------------------------------------------------
-
-func intKey(args []event.Value, pos int) (string, bool) {
-	if pos >= len(args) {
-		return "", false
-	}
-	x, ok := event.Int(args[pos])
-	if !ok {
-		return "", false
-	}
-	return strconv.Itoa(x), true
-}
-
-// MultisetSpec covers the multiset family (Multiset-Array, Multiset-Vector,
-// Multiset-BinaryTree and the atomized variants): elements are independent,
-// so the history partitions per element, with InsertPair bridging its two.
-func MultisetSpec() *Spec {
-	return &Spec{
-		Name:      "multiset",
-		New:       func() Model { return NewMultisetModel() },
-		IsMutator: func(m string) bool { return m != "LookUp" },
-		Keys: func(op Op) ([]string, bool) {
-			switch op.Method {
-			case "Insert", "Delete", "LookUp":
-				k, ok := intKey(op.Args, 0)
-				if !ok {
-					return nil, false
-				}
-				return []string{k}, true
-			case "InsertPair":
-				x, okx := intKey(op.Args, 0)
-				y, oky := intKey(op.Args, 1)
-				if !okx || !oky {
-					return nil, false
-				}
-				return []string{x, y}, true
-			case "Compress":
-				return nil, true
-			}
-			return nil, false
-		},
-		FixedDomain: true,
-	}
-}
-
-// KVSpec covers the B-link tree's abstract map (and the KV module of the
-// composed BLinkTree-on-Store subject): operations partition per key.
-func KVSpec() *Spec {
-	return &Spec{
-		Name:      "kv",
-		New:       func() Model { return NewKVModel() },
-		IsMutator: func(m string) bool { return m != "Lookup" },
-		Keys: func(op Op) ([]string, bool) {
-			switch op.Method {
-			case "Insert", "Delete", "Lookup":
-				k, ok := intKey(op.Args, 0)
-				if !ok {
-					return nil, false
-				}
-				return []string{k}, true
-			case "Compress":
-				return nil, true
-			}
-			return nil, false
-		},
-		FixedDomain: true,
-	}
-}
-
-// StoreSpec covers the Boxwood cache/chunk-store abstraction (a map from
-// handles to byte arrays): operations partition per handle; the flush,
-// revoke and reclaim paths are abstract no-ops.
-func StoreSpec() *Spec {
-	return &Spec{
-		Name:      "store",
-		New:       func() Model { return NewStoreModel() },
-		IsMutator: func(m string) bool { return m != "Read" },
-		Keys: func(op Op) ([]string, bool) {
-			switch op.Method {
-			case "Write", "Read":
-				h, ok := intKey(op.Args, 0)
-				if !ok {
-					return nil, false
-				}
-				return []string{h}, true
-			case "Flush", "Revoke", "Compress":
-				return nil, true
-			}
-			return nil, false
-		},
-		FixedDomain: true,
-	}
-}
-
-// FSSpec covers the Scan file system's data path (a map from names to
-// contents): operations partition per file name.
-func FSSpec() *Spec {
-	return &Spec{
-		Name:      "fs",
-		New:       func() Model { return NewFSModel() },
-		IsMutator: func(m string) bool { return m != "ReadFile" },
-		Keys: func(op Op) ([]string, bool) {
-			switch op.Method {
-			case "Create", "WriteFile", "Append", "Delete", "ReadFile":
-				if len(op.Args) < 1 {
-					return nil, false
-				}
-				name, ok := op.Args[0].(string)
-				if !ok {
-					return nil, false
-				}
-				return []string{name}, true
-			case "Compress":
-				return nil, true
-			}
-			return nil, false
-		},
-		FixedDomain: true,
-	}
-}
-
-// VectorSpec covers java.util.Vector: a single order-sensitive sequence,
-// unpartitionable, with an exponential reachable state space — the
-// worst-case subject every linearizability search should be judged on.
-func VectorSpec() *Spec {
-	return &Spec{
-		Name: "vector",
-		New:  func() Model { return NewVectorModel() },
-		IsMutator: func(m string) bool {
-			switch m {
-			case "Size", "ElementAt", "LastIndexOf":
-				return false
-			}
-			return true
-		},
-	}
-}
-
-// StringBufferSpec covers the java.util.StringBuffer family addressed by
-// small integer identifiers: buffers are independent until a cross-buffer
-// AppendBuffer bridges its two.
-func StringBufferSpec(n int) *Spec {
-	return &Spec{
-		Name: "stringbuffer",
-		New:  func() Model { return NewStringBufferModel(n) },
-		IsMutator: func(m string) bool {
-			switch m {
-			case "ToString", "Length":
-				return false
-			}
-			return true
-		},
-		Keys: func(op Op) ([]string, bool) {
-			switch op.Method {
-			case "Append", "Delete", "SetLength", "ToString", "Length":
-				id, ok := intKey(op.Args, 0)
-				if !ok {
-					return nil, false
-				}
-				return []string{id}, true
-			case "AppendBuffer":
-				dst, okd := intKey(op.Args, 0)
-				src, oks := intKey(op.Args, 1)
-				if !okd || !oks {
-					return nil, false
-				}
-				return []string{dst, src}, true
-			}
-			return nil, false
-		},
-	}
-}
-
-// SpecByName returns the spec family for a registered name (the strings
-// the bench registry and CLI agree on).
-func SpecByName(name string) (*Spec, error) {
-	switch name {
-	case "multiset":
-		return MultisetSpec(), nil
-	case "kv":
-		return KVSpec(), nil
-	case "store":
-		return StoreSpec(), nil
-	case "fs":
-		return FSSpec(), nil
-	case "vector":
-		return VectorSpec(), nil
-	case "stringbuffer":
-		return StringBufferSpec(4), nil
-	}
-	return nil, fmt.Errorf("linearize: unknown spec %q", name)
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/event"
 	"repro/internal/view"
@@ -39,6 +40,33 @@ func NewFS() *FS {
 func (s *FS) Reset() {
 	s.files = make(map[string][]byte)
 	s.table = view.NewTable()
+}
+
+// Clone implements Linearizable. Contents are never modified in place
+// (Append builds a fresh slice), so the copies share them.
+func (s *FS) Clone() Linearizable {
+	return &FS{files: maps.Clone(s.files), table: s.table.Clone()}
+}
+
+// FixedDomain implements Linearizable.
+func (s *FS) FixedDomain() bool { return true }
+
+// Keys implements Linearizable: operations partition per file name.
+func (s *FS) Keys(method string, args []event.Value) ([]string, bool) {
+	switch method {
+	case "Create", "WriteFile", "Append", "Delete", "ReadFile":
+		if len(args) < 1 {
+			return nil, false
+		}
+		name, ok := args[0].(string)
+		if !ok {
+			return nil, false
+		}
+		return []string{name}, true
+	case MethodCompress:
+		return nil, true
+	}
+	return nil, false
 }
 
 // View implements core.Spec. Keys are "f:<name>"; values are the contents.

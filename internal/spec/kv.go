@@ -21,8 +21,9 @@ import (
 //	Delete(key) -> bool       mutator; true iff key was present
 //	Lookup(key) -> int        observer; the data, or -1 when absent
 //	Compress() -> nil         mutator pseudo-method; abstract no-op
+//
+// The view table is the state: keys are the stored keys, values the data.
 type KV struct {
-	m     map[int]int
 	table *view.Table
 }
 
@@ -39,9 +40,23 @@ func NewKV() *KV {
 }
 
 // Reset implements core.Spec.
-func (s *KV) Reset() {
-	s.m = make(map[int]int)
-	s.table = view.NewTable()
+func (s *KV) Reset() { s.table = view.NewTable() }
+
+// Clone implements Linearizable.
+func (s *KV) Clone() Linearizable { return &KV{table: s.table.Clone()} }
+
+// FixedDomain implements Linearizable.
+func (s *KV) FixedDomain() bool { return true }
+
+// Keys implements Linearizable: operations partition per key.
+func (s *KV) Keys(method string, args []event.Value) ([]string, bool) {
+	switch method {
+	case "Insert", "Delete", "Lookup":
+		return intKeys(args, 0)
+	case MethodCompress:
+		return nil, true
+	}
+	return nil, false
 }
 
 // View implements core.Spec. Keys are "k:<key>"; values are the data.
@@ -53,12 +68,12 @@ func (s *KV) IsMutator(method string) bool {
 }
 
 // Len returns the number of keys.
-func (s *KV) Len() int { return len(s.m) }
+func (s *KV) Len() int { return s.table.Len() }
 
 // Get returns the data for key, if present.
 func (s *KV) Get(key int) (int, bool) {
-	v, ok := s.m[key]
-	return v, ok
+	v, ok := s.table.GetInt(spaceK, int64(key))
+	return int(v), ok
 }
 
 // ApplyMutator implements core.Spec.
@@ -76,7 +91,6 @@ func (s *KV) ApplyMutator(method string, args []event.Value, ret event.Value) er
 		if ret != nil {
 			return errRet(method, args, ret, "Insert returns nothing")
 		}
-		s.m[key] = data
 		s.table.SetInt(spaceK, int64(key), int64(data))
 		return nil
 
@@ -92,17 +106,19 @@ func (s *KV) ApplyMutator(method string, args []event.Value, ret event.Value) er
 		if !ok {
 			return errRet(method, args, ret, "return value must be bool")
 		}
-		_, present := s.m[key]
+		_, present := s.Get(key)
 		if removed != present {
 			return errRet(method, args, ret, "removal claim inconsistent with the witness interleaving")
 		}
 		if removed {
-			delete(s.m, key)
 			s.table.DeleteInt(spaceK, int64(key))
 		}
 		return nil
 
 	case MethodCompress:
+		if ret != nil {
+			return errRet(method, args, ret, "Compress returns nothing")
+		}
 		return nil
 	}
 	return fmt.Errorf("unknown mutator %q", method)
@@ -121,7 +137,7 @@ func (s *KV) CheckObserver(method string, args []event.Value, ret event.Value) b
 	if !ok {
 		return false
 	}
-	if data, present := s.m[key]; present {
+	if data, present := s.Get(key); present {
 		return got == data
 	}
 	return got == -1

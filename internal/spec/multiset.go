@@ -21,9 +21,10 @@ import (
 //	                         false (not found) is always permitted
 //	LookUp(x) -> bool        observer; membership
 //	Compress() -> nil        mutator pseudo-method; abstract no-op
+//
+// The view table is the state: keys are elements, values multiplicities.
 type Multiset struct {
-	counts map[int]int
-	table  *view.Table
+	table *view.Table
 }
 
 // spaceE is the view key family of multiset elements ("e:<element>"),
@@ -38,9 +39,26 @@ func NewMultiset() *Multiset {
 }
 
 // Reset implements core.Spec.
-func (s *Multiset) Reset() {
-	s.counts = make(map[int]int)
-	s.table = view.NewTable()
+func (s *Multiset) Reset() { s.table = view.NewTable() }
+
+// Clone implements Linearizable.
+func (s *Multiset) Clone() Linearizable { return &Multiset{table: s.table.Clone()} }
+
+// FixedDomain implements Linearizable.
+func (s *Multiset) FixedDomain() bool { return true }
+
+// Keys implements Linearizable: elements are independent, so a history
+// partitions per element, with InsertPair bridging its two.
+func (s *Multiset) Keys(method string, args []event.Value) ([]string, bool) {
+	switch method {
+	case "Insert", "Delete", "LookUp":
+		return intKeys(args, 0)
+	case "InsertPair":
+		return intKeys(args, 0, 1)
+	case MethodCompress:
+		return nil, true
+	}
+	return nil, false
 }
 
 // View implements core.Spec. Keys are "e:<element>"; values are
@@ -61,26 +79,18 @@ func (s *Multiset) IsMutator(method string) bool {
 }
 
 func (s *Multiset) add(x, delta int) {
-	n := s.counts[x] + delta
+	n := s.Count(x) + delta
 	if n <= 0 {
-		delete(s.counts, x)
 		s.table.DeleteInt(spaceE, int64(x))
 		return
 	}
-	s.counts[x] = n
 	s.table.SetInt(spaceE, int64(x), int64(n))
 }
 
 // Count returns the multiplicity of x.
-func (s *Multiset) Count(x int) int { return s.counts[x] }
-
-// Size returns the total number of elements (with multiplicity).
-func (s *Multiset) Size() int {
-	n := 0
-	for _, c := range s.counts {
-		n += c
-	}
-	return n
+func (s *Multiset) Count(x int) int {
+	n, _ := s.table.GetInt(spaceE, int64(x))
+	return int(n)
 }
 
 // ApplyMutator implements core.Spec.
@@ -141,7 +151,7 @@ func (s *Multiset) ApplyMutator(method string, args []event.Value, ret event.Val
 		// paper: refinement admits specifications permissive enough for
 		// concurrent executions where atomicity is too stringent).
 		if removed {
-			if s.counts[x] == 0 {
+			if s.Count(x) == 0 {
 				return errRet(method, args, ret, "claims removal but element is absent in the witness interleaving")
 			}
 			s.add(x, -1)
@@ -149,6 +159,9 @@ func (s *Multiset) ApplyMutator(method string, args []event.Value, ret event.Val
 		return nil
 
 	case MethodCompress:
+		if ret != nil {
+			return errRet(method, args, ret, "Compress returns nothing")
+		}
 		return nil
 	}
 	return fmt.Errorf("unknown mutator %q", method)
@@ -167,5 +180,5 @@ func (s *Multiset) CheckObserver(method string, args []event.Value, ret event.Va
 	if !ok {
 		return false
 	}
-	return found == (s.counts[x] > 0)
+	return found == (s.Count(x) > 0)
 }

@@ -13,8 +13,8 @@ func TestMultisetInsertSuccess(t *testing.T) {
 	if err := s.ApplyMutator("Insert", []event.Value{3}, true); err != nil {
 		t.Fatal(err)
 	}
-	if s.Count(3) != 1 || s.Size() != 1 {
-		t.Fatalf("count %d size %d", s.Count(3), s.Size())
+	if s.Count(3) != 1 || s.View().Len() != 1 {
+		t.Fatalf("count %d, %d distinct elements", s.Count(3), s.View().Len())
 	}
 	if !s.CheckObserver("LookUp", []event.Value{3}, true) {
 		t.Fatal("LookUp(3) -> true rejected")
@@ -161,7 +161,7 @@ func TestMultisetReset(t *testing.T) {
 	s := NewMultiset()
 	mustApply(t, s, "Insert", []event.Value{1}, true)
 	s.Reset()
-	if s.Size() != 0 || s.View().Hash() != 0 {
+	if s.Count(1) != 0 || s.View().Len() != 0 || s.View().Hash() != 0 {
 		t.Fatal("reset did not clear")
 	}
 }

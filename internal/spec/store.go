@@ -21,8 +21,9 @@ import (
 //	Revoke(handle) -> nil         mutator; abstract no-op (single-entry flush)
 //	Compress() -> nil             mutator pseudo-method (reclaim daemon);
 //	                              abstract no-op
+//
+// The view table is the state: keys are handles, values the written bytes.
 type Store struct {
-	m     map[int][]byte
 	table *view.Table
 }
 
@@ -39,9 +40,24 @@ func NewStore() *Store {
 }
 
 // Reset implements core.Spec.
-func (s *Store) Reset() {
-	s.m = make(map[int][]byte)
-	s.table = view.NewTable()
+func (s *Store) Reset() { s.table = view.NewTable() }
+
+// Clone implements Linearizable.
+func (s *Store) Clone() Linearizable { return &Store{table: s.table.Clone()} }
+
+// FixedDomain implements Linearizable.
+func (s *Store) FixedDomain() bool { return true }
+
+// Keys implements Linearizable: operations partition per handle; the
+// flush, revoke and reclaim paths are abstract no-ops.
+func (s *Store) Keys(method string, args []event.Value) ([]string, bool) {
+	switch method {
+	case "Write", "Read":
+		return intKeys(args, 0)
+	case "Flush", "Revoke", MethodCompress:
+		return nil, true
+	}
+	return nil, false
 }
 
 // View implements core.Spec. Keys are "h:<handle>"; values are the bytes,
@@ -55,12 +71,11 @@ func (s *Store) IsMutator(method string) bool {
 
 // Get returns the stored bytes for a handle.
 func (s *Store) Get(handle int) ([]byte, bool) {
-	b, ok := s.m[handle]
-	return b, ok
+	return s.table.GetIntBytes(spaceH, int64(handle))
 }
 
 // Len returns the number of written handles.
-func (s *Store) Len() int { return len(s.m) }
+func (s *Store) Len() int { return s.table.Len() }
 
 // ApplyMutator implements core.Spec.
 func (s *Store) ApplyMutator(method string, args []event.Value, ret event.Value) error {
@@ -80,7 +95,6 @@ func (s *Store) ApplyMutator(method string, args []event.Value, ret event.Value)
 		if ret != nil {
 			return errRet(method, args, ret, "Write returns nothing")
 		}
-		s.m[h] = buf
 		s.table.SetIntBytes(spaceH, int64(h), buf)
 		return nil
 
@@ -102,7 +116,7 @@ func (s *Store) CheckObserver(method string, args []event.Value, ret event.Value
 	if !ok {
 		return false
 	}
-	want, present := s.m[h]
+	want, present := s.Get(h)
 	if !present {
 		return ret == nil
 	}

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/event"
 	"repro/internal/view"
@@ -49,6 +50,27 @@ func (s *StringBuffers) Reset() {
 	for i := 0; i < s.n; i++ {
 		s.table.Set("sb:"+itoa(i), "")
 	}
+}
+
+// Clone implements Linearizable.
+func (s *StringBuffers) Clone() Linearizable {
+	return &StringBuffers{n: s.n, bufs: slices.Clone(s.bufs), table: s.table.Clone()}
+}
+
+// FixedDomain implements Linearizable: contents grow without bound, so
+// the reachable state frontier is not small.
+func (s *StringBuffers) FixedDomain() bool { return false }
+
+// Keys implements Linearizable: buffers are independent until a
+// cross-buffer AppendBuffer bridges its two.
+func (s *StringBuffers) Keys(method string, args []event.Value) ([]string, bool) {
+	switch method {
+	case "Append", "Delete", "SetLength", "ToString", "Length":
+		return intKeys(args, 0)
+	case "AppendBuffer":
+		return intKeys(args, 0, 1)
+	}
+	return nil, false
 }
 
 // View implements core.Spec. Keys are "sb:<id>"; values are contents.

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/event"
 	"repro/internal/view"
@@ -28,6 +29,12 @@ type Vector struct {
 	table *view.Table
 }
 
+// spaceI is the view key family of vector indices ("i:<index>"), shared by
+// name with the vector replayer. The view is exactly the index-to-element
+// map: the indices present are 0..len-1, so the length needs no entry of
+// its own.
+var spaceI = view.NewSpace("i")
+
 // NewVector returns an empty vector specification.
 func NewVector() *Vector {
 	s := &Vector{}
@@ -39,10 +46,22 @@ func NewVector() *Vector {
 func (s *Vector) Reset() {
 	s.elems = nil
 	s.table = view.NewTable()
-	s.table.Set("len", "0")
 }
 
-// View implements core.Spec. Keys are "len" and "i:<index>".
+// Clone implements Linearizable.
+func (s *Vector) Clone() Linearizable {
+	return &Vector{elems: slices.Clone(s.elems), table: s.table.Clone()}
+}
+
+// FixedDomain implements Linearizable: a sequence over k overlapping
+// appends has a factorial reachable state space.
+func (s *Vector) FixedDomain() bool { return false }
+
+// Keys implements Linearizable: every operation is global, because the
+// sequence is order-sensitive and an insertion shifts every later index.
+func (s *Vector) Keys(string, []event.Value) ([]string, bool) { return nil, false }
+
+// View implements core.Spec. Keys are "i:<index>"; values are elements.
 func (s *Vector) View() *view.Table { return s.table }
 
 // IsMutator implements core.Spec.
@@ -57,22 +76,16 @@ func (s *Vector) IsMutator(method string) bool {
 // Len returns the current length.
 func (s *Vector) Len() int { return len(s.elems) }
 
-func (s *Vector) setIndex(i int) {
-	s.table.Set("i:"+itoa(i), itoa(s.elems[i]))
-}
-
-func (s *Vector) refreshFrom(i int) {
+// refreshFrom rewrites the view entries of indices i and above after a
+// shift; oldLen is the length before the operation, whose surplus indices
+// are dropped.
+func (s *Vector) refreshFrom(i, oldLen int) {
 	for ; i < len(s.elems); i++ {
-		s.setIndex(i)
+		s.table.SetInt(spaceI, int64(i), int64(s.elems[i]))
 	}
-	s.table.Set("len", itoa(len(s.elems)))
-}
-
-func (s *Vector) truncateTable(oldLen int) {
-	for i := len(s.elems); i < oldLen; i++ {
-		s.table.Delete("i:" + itoa(i))
+	for ; i < oldLen; i++ {
+		s.table.DeleteInt(spaceI, int64(i))
 	}
-	s.table.Set("len", itoa(len(s.elems)))
 }
 
 // ApplyMutator implements core.Spec.
@@ -90,8 +103,7 @@ func (s *Vector) ApplyMutator(method string, args []event.Value, ret event.Value
 			return errRet(method, args, ret, "AddElement returns nothing")
 		}
 		s.elems = append(s.elems, x)
-		s.setIndex(len(s.elems) - 1)
-		s.table.Set("len", itoa(len(s.elems)))
+		s.refreshFrom(len(s.elems)-1, len(s.elems)-1)
 		return nil
 
 	case "InsertElementAt":
@@ -119,7 +131,7 @@ func (s *Vector) ApplyMutator(method string, args []event.Value, ret event.Value
 		s.elems = append(s.elems, 0)
 		copy(s.elems[i+1:], s.elems[i:])
 		s.elems[i] = x
-		s.refreshFrom(i)
+		s.refreshFrom(i, len(s.elems)-1)
 		return nil
 
 	case "RemoveElementAt":
@@ -145,8 +157,7 @@ func (s *Vector) ApplyMutator(method string, args []event.Value, ret event.Value
 		}
 		oldLen := len(s.elems)
 		s.elems = append(s.elems[:i], s.elems[i+1:]...)
-		s.refreshFrom(i)
-		s.truncateTable(oldLen)
+		s.refreshFrom(i, oldLen)
 		return nil
 
 	case "RemoveAllElements":
@@ -155,7 +166,7 @@ func (s *Vector) ApplyMutator(method string, args []event.Value, ret event.Value
 		}
 		oldLen := len(s.elems)
 		s.elems = s.elems[:0]
-		s.truncateTable(oldLen)
+		s.refreshFrom(0, oldLen)
 		return nil
 
 	case "TrimToSize":
@@ -172,7 +183,7 @@ func (s *Vector) CheckObserver(method string, args []event.Value, ret event.Valu
 	switch method {
 	case "Size":
 		got, ok := event.Int(ret)
-		return ok && got == len(s.elems)
+		return ok && len(args) == 0 && got == len(s.elems)
 
 	case "ElementAt":
 		if len(args) != 1 {

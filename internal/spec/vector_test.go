@@ -95,11 +95,8 @@ func TestVectorRemoveAllAndTrim(t *testing.T) {
 	if s.Len() != 0 || !s.CheckObserver("Size", nil, 0) {
 		t.Fatal("RemoveAllElements did not clear")
 	}
-	if v, ok := s.View().Get("len"); !ok || v != "0" {
-		t.Fatalf("view len = %q", v)
-	}
-	if _, ok := s.View().Get("i:0"); ok {
-		t.Fatal("stale index entries in the view")
+	if s.View().Len() != 0 || s.View().Hash() != NewVector().View().Hash() {
+		t.Fatalf("stale index entries in the view: %s", s.View())
 	}
 }
 
@@ -108,11 +105,14 @@ func TestVectorViewTracksIndices(t *testing.T) {
 	mustApply(t, s, "AddElement", []event.Value{10}, nil)
 	mustApply(t, s, "AddElement", []event.Value{20}, nil)
 	mustApply(t, s, "RemoveElementAt", []event.Value{0}, nil)
-	if v, _ := s.View().Get("i:0"); v != "20" {
-		t.Fatalf("view i:0 = %q after shift", v)
+	if v, _ := s.View().GetInt(spaceI, 0); v != 20 {
+		t.Fatalf("view i:0 = %d after shift", v)
 	}
-	if _, ok := s.View().Get("i:1"); ok {
+	if _, ok := s.View().GetInt(spaceI, 1); ok {
 		t.Fatal("view kept a truncated index")
+	}
+	if got := s.View().String(); got != "{i:0=20}" {
+		t.Fatalf("view renders as %s", got)
 	}
 }
 

@@ -16,7 +16,9 @@
 // is the XOR of the contributions. Set and Delete update the fingerprint in
 // O(1); equality of fingerprints is the fast path of view comparison, and
 // Diff provides the exact comparison used for diagnostics and as a
-// collision guard in tests.
+// collision guard in tests. A Table stores values only: no per-pair hash
+// is cached, the contribution of an overwritten or deleted pair is
+// recomputed from its old value.
 //
 // Keys come in two disjoint universes. The original string universe
 // (Set/Delete/Get) renders arbitrary canonical keys. The integer universe
@@ -26,14 +28,22 @@
 // pure integer mixing: no key-string building, no string hashing, no
 // allocation. The two universes never alias: a pair set via SetInt is a
 // different pair from one set via Set, even if they render identically.
+// Integer-universe values live in two maps: integers in a pointer-free
+// map[int64]int64 per Space, byte strings in a map of their own.
+//
+// Clone is O(1) and copy-on-write, which is what lets the linearizability
+// engine use a specification snapshot per search state (internal/linearize:
+// a Model is a frozen spec whose fingerprint is its view's Hash).
 package view
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Space is an interned integer-key family ("k:" keys of a tree view, "h:"
@@ -77,57 +87,43 @@ func (sp Space) Name() string {
 	return spaceReg.names[sp.id-1]
 }
 
-// ikey is an integer-universe key.
+// ikey is an integer-universe key of a byte-string value.
 type ikey struct {
 	space uint32
 	k     int64
 }
 
-// ival is an integer-universe value with its cached pair-hash contribution.
-// A value is either an int64 (isBytes false) or an immutable byte string.
-type ival struct {
-	h       uint64
-	num     int64
-	b       []byte
-	isBytes bool
-}
-
-func (v ival) equal(o ival) bool {
-	if v.isBytes != o.isBytes {
-		return false
-	}
-	if v.isBytes {
-		return string(v.b) == string(o.b)
-	}
-	return v.num == o.num
-}
-
-// render returns the canonical string form used by Diff/String.
-func (v ival) render() string {
-	if v.isBytes {
-		return fmt.Sprintf("0x%x", v.b)
-	}
-	return strconv.FormatInt(v.num, 10)
-}
-
-// sval is a string-universe value with its cached pair-hash contribution.
-type sval struct {
-	h uint64
-	v string
+// spaceNums holds one Space's integer values. Key and value are plain
+// machine words, so the map is pointer-free: the garbage collector never
+// scans it, however many copies of it specification snapshots
+// (internal/linearize) keep alive.
+type spaceNums struct {
+	space uint32
+	m     map[int64]int64
 }
 
 // Table is an incrementally fingerprinted map from canonical keys to
-// canonical values. The zero value is not usable; construct with NewTable.
+// canonical values. It stores the values and nothing else — a pair's hash
+// contribution is recomputed from the old value when the pair is
+// overwritten or deleted. The zero value is an empty table; maps are
+// allocated on first use.
 type Table struct {
-	m    map[string]sval
-	im   map[ikey]ival
-	hash uint64
+	m     map[string]string // string universe
+	nums  []spaceNums       // integer universe, integer values, one map per Space in use
+	bytes map[ikey][]byte   // integer universe, immutable byte-string values
+	hash  uint64
+
+	// shared is set while another Table may hold the same maps: Clone
+	// hands them over uncopied, and whichever side writes first copies
+	// them (own). A clone that is only read, or whose mutator is rejected
+	// or changes nothing, therefore costs no copy. Atomic because a table
+	// that is only read and cloned — a frozen specification snapshot in
+	// internal/linearize — is cloned from several goroutines.
+	shared atomic.Bool
 }
 
 // NewTable returns an empty table.
-func NewTable() *Table {
-	return &Table{m: make(map[string]sval), im: make(map[ikey]ival)}
-}
+func NewTable() *Table { return &Table{} }
 
 const (
 	offset64 = 14695981039346656037
@@ -147,7 +143,7 @@ func mix64(h uint64) uint64 {
 
 // strHash is FNV-1a with a length prefix (so ("ab","c") cannot collide
 // with ("a","bc") when chained).
-func strHash(s string) uint64 {
+func strHash[S string | []byte](s S) uint64 {
 	h := uint64(offset64)
 	n := uint64(len(s))
 	for i := 0; i < 8; i++ {
@@ -156,20 +152,6 @@ func strHash(s string) uint64 {
 	}
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
-func bytesHash(b []byte) uint64 {
-	h := uint64(offset64)
-	n := uint64(len(b))
-	for i := 0; i < 8; i++ {
-		h ^= uint64(byte(n >> (8 * i)))
-		h *= prime64
-	}
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
 		h *= prime64
 	}
 	return h
@@ -194,26 +176,44 @@ const (
 	vkindBytes = 2
 )
 
+// own makes t the only holder of its maps, copying them if a Clone may
+// still hold them. Every write calls it first.
+func (t *Table) own() {
+	if !t.shared.Load() {
+		return
+	}
+	t.m, t.bytes = maps.Clone(t.m), maps.Clone(t.bytes)
+	nums := make([]spaceNums, len(t.nums))
+	for i, sn := range t.nums {
+		nums[i] = spaceNums{space: sn.space, m: maps.Clone(sn.m)}
+	}
+	t.nums = nums
+	t.shared.Store(false)
+}
+
 // Set maps key to value in the string universe, replacing any previous
 // value.
 func (t *Table) Set(key, value string) {
+	t.own()
 	old, ok := t.m[key]
-	if ok && old.v == value {
-		return
-	}
-	nv := sval{h: pairHash(key, value), v: value}
 	if ok {
-		t.hash ^= old.h
+		if old == value {
+			return
+		}
+		t.hash ^= pairHash(key, old)
+	} else if t.m == nil {
+		t.m = make(map[string]string)
 	}
-	t.m[key] = nv
-	t.hash ^= nv.h
+	t.m[key] = value
+	t.hash ^= pairHash(key, value)
 }
 
 // Delete removes key from the string universe. Deleting an absent key is a
 // no-op.
 func (t *Table) Delete(key string) {
+	t.own()
 	if old, ok := t.m[key]; ok {
-		t.hash ^= old.h
+		t.hash ^= pairHash(key, old)
 		delete(t.m, key)
 	}
 }
@@ -221,73 +221,114 @@ func (t *Table) Delete(key string) {
 // Get returns the string-universe value for key and whether it is present.
 func (t *Table) Get(key string) (string, bool) {
 	v, ok := t.m[key]
-	return v.v, ok
+	return v, ok
+}
+
+// numsOf returns the integer-value map of a space, nil when the table
+// holds none. Tables use one or two spaces, so the scan is a compare.
+func (t *Table) numsOf(space uint32) map[int64]int64 {
+	for i := range t.nums {
+		if t.nums[i].space == space {
+			return t.nums[i].m
+		}
+	}
+	return nil
+}
+
+// dropBytes removes the byte-string value of (sp, key), if any: a pair has
+// one value, so an integer written over a byte string replaces it.
+func (t *Table) dropBytes(sp Space, key int64) {
+	ik := ikey{space: sp.id, k: key}
+	if old, ok := t.bytes[ik]; ok {
+		t.hash ^= pairHashInt(sp, key, vkindBytes, strHash(old))
+		delete(t.bytes, ik)
+	}
+}
+
+// dropNum is dropBytes for an integer value.
+func (t *Table) dropNum(sp Space, key int64) {
+	m := t.numsOf(sp.id)
+	if old, ok := m[key]; ok {
+		t.hash ^= pairHashInt(sp, key, vkindNum, uint64(old))
+		delete(m, key)
+	}
 }
 
 // SetInt maps (sp, key) to an integer value. The fingerprint update is
 // allocation-free integer mixing.
 func (t *Table) SetInt(sp Space, key, value int64) {
-	ik := ikey{space: sp.id, k: key}
-	old, ok := t.im[ik]
-	if ok && !old.isBytes && old.num == value {
-		return
+	t.own()
+	m := t.numsOf(sp.id)
+	if old, ok := m[key]; ok {
+		if old == value {
+			return
+		}
+		t.hash ^= pairHashInt(sp, key, vkindNum, uint64(old))
+	} else {
+		if m == nil {
+			m = make(map[int64]int64)
+			t.nums = append(t.nums, spaceNums{space: sp.id, m: m})
+		}
+		if len(t.bytes) != 0 {
+			t.dropBytes(sp, key)
+		}
 	}
-	nv := ival{h: pairHashInt(sp, key, vkindNum, uint64(value)), num: value}
-	if ok {
-		t.hash ^= old.h
-	}
-	t.im[ik] = nv
-	t.hash ^= nv.h
+	m[key] = value
+	t.hash ^= pairHashInt(sp, key, vkindNum, uint64(value))
 }
 
 // SetIntBytes maps (sp, key) to a byte-string value. The caller must treat
 // b as immutable after the call (the table keeps the reference; no copy is
 // made).
 func (t *Table) SetIntBytes(sp Space, key int64, b []byte) {
+	t.own()
 	ik := ikey{space: sp.id, k: key}
-	old, ok := t.im[ik]
-	if ok && old.isBytes && string(old.b) == string(b) {
-		return
+	if old, ok := t.bytes[ik]; ok {
+		if string(old) == string(b) {
+			return
+		}
+		t.hash ^= pairHashInt(sp, key, vkindBytes, strHash(old))
+	} else {
+		if t.bytes == nil {
+			t.bytes = make(map[ikey][]byte)
+		}
+		t.dropNum(sp, key)
 	}
-	nv := ival{h: pairHashInt(sp, key, vkindBytes, bytesHash(b)), b: b, isBytes: true}
-	if ok {
-		t.hash ^= old.h
-	}
-	t.im[ik] = nv
-	t.hash ^= nv.h
+	t.bytes[ik] = b
+	t.hash ^= pairHashInt(sp, key, vkindBytes, strHash(b))
 }
 
 // DeleteInt removes (sp, key). Deleting an absent key is a no-op.
 func (t *Table) DeleteInt(sp Space, key int64) {
-	ik := ikey{space: sp.id, k: key}
-	if old, ok := t.im[ik]; ok {
-		t.hash ^= old.h
-		delete(t.im, ik)
+	t.own()
+	t.dropNum(sp, key)
+	if len(t.bytes) != 0 {
+		t.dropBytes(sp, key)
 	}
 }
 
 // GetInt returns the integer value for (sp, key) and whether it is present
 // with an integer value.
 func (t *Table) GetInt(sp Space, key int64) (int64, bool) {
-	v, ok := t.im[ikey{space: sp.id, k: key}]
-	if !ok || v.isBytes {
-		return 0, false
-	}
-	return v.num, true
+	v, ok := t.numsOf(sp.id)[key]
+	return v, ok
 }
 
 // GetIntBytes returns the byte-string value for (sp, key) and whether it is
 // present with a byte-string value.
 func (t *Table) GetIntBytes(sp Space, key int64) ([]byte, bool) {
-	v, ok := t.im[ikey{space: sp.id, k: key}]
-	if !ok || !v.isBytes {
-		return nil, false
-	}
-	return v.b, true
+	b, ok := t.bytes[ikey{space: sp.id, k: key}]
+	return b, ok
 }
 
 // Len reports the number of pairs in the table across both universes.
-func (t *Table) Len() int { return len(t.m) + len(t.im) }
+func (t *Table) Len() int {
+	n := len(t.m) + len(t.bytes)
+	for _, sn := range t.nums {
+		n += len(sn.m)
+	}
+	return n
+}
 
 // Hash returns the order-independent fingerprint of the table contents.
 // Equal contents always have equal fingerprints; unequal contents collide
@@ -296,41 +337,34 @@ func (t *Table) Hash() uint64 { return t.hash }
 
 // Reset removes all pairs.
 func (t *Table) Reset() {
-	t.m = make(map[string]sval)
-	t.im = make(map[ikey]ival)
-	t.hash = 0
+	t.m, t.nums, t.bytes, t.hash = nil, nil, nil, 0
+	t.shared.Store(false)
 }
 
-// Clone returns a deep copy of the table.
+// Clone returns an independent copy of the table: writes to either are
+// invisible to the other. The copy itself is deferred to the first write
+// on either side (see shared).
 func (t *Table) Clone() *Table {
-	c := &Table{
-		m:    make(map[string]sval, len(t.m)),
-		im:   make(map[ikey]ival, len(t.im)),
-		hash: t.hash,
+	if !t.shared.Load() { // do not dirty the line of a table many goroutines clone
+		t.shared.Store(true)
 	}
-	for k, v := range t.m {
-		c.m[k] = v
-	}
-	for k, v := range t.im {
-		c.im[k] = v
-	}
+	c := &Table{m: t.m, nums: t.nums, bytes: t.bytes, hash: t.hash}
+	c.shared.Store(true)
 	return c
 }
 
 // renderKey gives the canonical rendering of an integer-universe key,
 // matching the "name:key" convention of the string universe.
-func renderKey(ik ikey) string {
-	return Space{id: ik.space}.Name() + ":" + strconv.FormatInt(ik.k, 10)
+func renderKey(space uint32, k int64) string {
+	return Space{id: space}.Name() + ":" + strconv.FormatInt(k, 10)
 }
 
 // Keys returns the rendered keys of both universes in sorted order.
 func (t *Table) Keys() []string {
-	keys := make([]string, 0, t.Len())
-	for k := range t.m {
+	r := t.rendered()
+	keys := make([]string, 0, len(r))
+	for k := range r {
 		keys = append(keys, k)
-	}
-	for ik := range t.im {
-		keys = append(keys, renderKey(ik))
 	}
 	sort.Strings(keys)
 	return keys
@@ -340,17 +374,27 @@ func (t *Table) Keys() []string {
 // compares fingerprints and sizes, then verifies pair by pair, so it never
 // reports a false positive even under a fingerprint collision.
 func (t *Table) Equal(o *Table) bool {
-	if t.hash != o.hash || len(t.m) != len(o.m) || len(t.im) != len(o.im) {
+	if t.hash != o.hash || t.Len() != o.Len() {
 		return false
 	}
+	// Equal sizes with every pair of t present in o leave o no room for
+	// an extra pair.
 	for k, v := range t.m {
-		if ov, ok := o.m[k]; !ok || ov.v != v.v {
+		if ov, ok := o.m[k]; !ok || ov != v {
 			return false
 		}
 	}
-	for ik, v := range t.im {
-		if ov, ok := o.im[ik]; !ok || !ov.equal(v) {
+	for ik, v := range t.bytes {
+		if ov, ok := o.bytes[ik]; !ok || string(ov) != string(v) {
 			return false
+		}
+	}
+	for _, sn := range t.nums {
+		om := o.numsOf(sn.space)
+		for k, v := range sn.m {
+			if ov, ok := om[k]; !ok || ov != v {
+				return false
+			}
 		}
 	}
 	return true
@@ -426,10 +470,15 @@ func (t *Table) Diff(o *Table, limit int) []Delta {
 func (t *Table) rendered() map[string]string {
 	r := make(map[string]string, t.Len())
 	for k, v := range t.m {
-		r[k] = v.v
+		r[k] = v
 	}
-	for ik, v := range t.im {
-		r[renderKey(ik)] = v.render()
+	for _, sn := range t.nums {
+		for k, v := range sn.m {
+			r[renderKey(sn.space, k)] = strconv.FormatInt(v, 10)
+		}
+	}
+	for ik, b := range t.bytes {
+		r[renderKey(ik.space, ik.k)] = fmt.Sprintf("0x%x", b)
 	}
 	return r
 }

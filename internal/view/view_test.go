@@ -2,8 +2,10 @@ package view
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -113,6 +115,116 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 	if !c.Equal(c.Clone()) {
 		t.Fatal("clone of clone differs")
+	}
+}
+
+// TestIntegerUniverse covers the (Space, int64) pairs: full-width keys,
+// one value per pair whichever kind was written last, and rendering.
+func TestIntegerUniverse(t *testing.T) {
+	a, b := NewSpace("view_test.a"), NewSpace("view_test.b")
+	tb := NewTable()
+	keys := []int64{0, -1, 1 << 40, math.MaxInt64, math.MinInt64}
+	for i, k := range keys {
+		tb.SetInt(a, k, int64(i))
+		tb.SetInt(b, k, int64(-i))
+	}
+	for i, k := range keys {
+		if v, ok := tb.GetInt(a, k); !ok || v != int64(i) {
+			t.Fatalf("a:%d = %d, %v", k, v, ok)
+		}
+		if v, ok := tb.GetInt(b, k); !ok || v != int64(-i) {
+			t.Fatalf("b:%d = %d, %v", k, v, ok)
+		}
+	}
+	if tb.Len() != 2*len(keys) {
+		t.Fatalf("len %d", tb.Len())
+	}
+
+	// A byte string written over an integer replaces it, and back.
+	tb.SetIntBytes(a, 0, []byte{0xab})
+	if _, ok := tb.GetInt(a, 0); ok {
+		t.Fatal("integer value survived a byte-string write to the same pair")
+	}
+	if v, ok := tb.GetIntBytes(a, 0); !ok || string(v) != "\xab" || tb.Len() != 2*len(keys) {
+		t.Fatalf("a:0 = %x, %v, len %d", v, ok, tb.Len())
+	}
+	if got := tb.rendered()["view_test.a:0"]; got != "0xab" {
+		t.Fatalf("rendered %q", got)
+	}
+	tb.SetInt(a, 0, 7)
+	if _, ok := tb.GetIntBytes(a, 0); ok || tb.Len() != 2*len(keys) {
+		t.Fatal("byte-string value survived an integer write to the same pair")
+	}
+
+	// The fingerprint is a function of the contents, not of the history.
+	rebuilt := NewTable()
+	for i, k := range keys {
+		rebuilt.SetInt(b, k, int64(-i))
+		rebuilt.SetInt(a, k, int64(i))
+	}
+	rebuilt.SetInt(a, 0, 7)
+	if tb.Hash() != rebuilt.Hash() || !tb.Equal(rebuilt) || len(tb.Diff(rebuilt, 0)) != 0 {
+		t.Fatalf("same contents, different tables: %s vs %s", tb, rebuilt)
+	}
+	rebuilt.SetInt(b, 1<<40, 99)
+	if tb.Hash() == rebuilt.Hash() || tb.Equal(rebuilt) || len(tb.Diff(rebuilt, 0)) != 1 {
+		t.Fatal("a changed value went unnoticed")
+	}
+	for _, k := range keys {
+		tb.DeleteInt(a, k)
+		tb.DeleteInt(b, k)
+	}
+	if tb.Hash() != 0 || tb.Len() != 0 {
+		t.Fatalf("deleting every pair left hash %#x, len %d", tb.Hash(), tb.Len())
+	}
+}
+
+// TestCloneCopiesOnWrite: a clone shares storage until either side writes,
+// in every universe, and the first write on either side separates them.
+func TestCloneCopiesOnWrite(t *testing.T) {
+	sp := NewSpace("view_test.a")
+	src := NewTable()
+	src.Set("s", "1")
+	src.SetInt(sp, 1, 10)
+	src.SetIntBytes(sp, 2, []byte{2})
+	want := src.String()
+	h := src.Hash()
+
+	c1, c2 := src.Clone(), src.Clone()
+	c1.Set("s", "2")
+	c1.SetInt(sp, 1, 11)
+	c1.SetIntBytes(sp, 2, []byte{3})
+	c1.DeleteInt(sp, 1)
+	if src.String() != want || src.Hash() != h || c2.String() != want || c2.Hash() != h {
+		t.Fatalf("writes to a clone leaked: source %s, sibling %s", src, c2)
+	}
+	src.SetInt(sp, 3, 30)
+	src.Delete("s")
+	if c2.String() != want || c2.Hash() != h {
+		t.Fatalf("writes to the source leaked into a clone: %s", c2)
+	}
+	c3 := c2.Clone()
+	c2.Reset()
+	if c3.String() != want || c3.Hash() != h || c2.Len() != 0 {
+		t.Fatalf("reset leaked into a clone: %s", c3)
+	}
+
+	// A table nobody writes may be cloned from several goroutines at once
+	// (run under -race).
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); i < 100; i++ {
+				c := c3.Clone()
+				c.SetInt(sp, i, i)
+			}
+		}()
+	}
+	wg.Wait()
+	if c3.String() != want {
+		t.Fatalf("concurrent clones changed their source: %s", c3)
 	}
 }
 

@@ -317,7 +317,7 @@ func TestPersistedNoCommitArtifact(t *testing.T) {
 		t.Fatalf("refinement should reject the annotation-free log as an instrumentation violation:\n%s", ioRep)
 	}
 
-	linRep := linearize.CheckEntries(entries, linearize.MultisetSpec(), linearize.Options{})
+	linRep := linearize.CheckEntries(entries, linearize.For(spec.NewMultiset), linearize.Options{})
 	if !linRep.Ok() {
 		t.Fatalf("linearizability check rejected the annotation-free artifact:\n%s", linRep)
 	}
@@ -346,7 +346,7 @@ func TestNoCommitSubjectLiveRun(t *testing.T) {
 		if ioRep.Ok() {
 			t.Fatalf("seed %d: refinement accepted a commit-free log", seed)
 		}
-		linRep := linearize.CheckEntries(entries, linearize.MultisetSpec(),
+		linRep := linearize.CheckEntries(entries, linearize.For(spec.NewMultiset),
 			linearize.Options{MaxStates: 5_000_000})
 		if linRep.LogErr != "" {
 			t.Fatalf("seed %d: linearize gave up: %s", seed, linRep.LogErr)
