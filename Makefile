@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-snapshot fuzz soak-smoke ltl-smoke tables examples check clean
+.PHONY: all build vet test race bench bench-smoke bench-compare fuzz soak-smoke ltl-smoke tables examples check clean
 
 all: check
 
@@ -28,15 +28,20 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One iteration per benchmark: proves the bench harness still runs without
-# measuring anything. CI runs this.
+# Smoke, not measurement: the benchmark's quick pass over all six workloads
+# (a few seconds each, tiny inputs), then one iteration of each ablation
+# benchmark in the root bench_test.go. CI runs this.
 bench-smoke:
-	$(GO) test -run=NONE -bench=Table3 -benchtime=1x .
+	$(GO) run ./benchmark -quick
+	$(GO) test -run=NONE -bench='Ablation|CommitDriven' -benchtime=1x .
 
-# Regenerate the checked-in benchmark snapshot (environment + table rows,
-# including exploration throughput, shrink results and the durability row).
-bench-snapshot:
-	$(GO) run ./cmd/vyrdbench -table all -json BENCH_PR10.json
+# Compare two result files written by `go run ./benchmark -out`: per
+# workload x metric medians, delta, bound and verdict; non-zero on WORSE.
+# A performance claim is this over alternating runs of the two commits,
+# nothing else (see EXPERIMENTS.md).
+#   make bench-compare A=parent.json B=change.json
+bench-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 # Short fuzz smoke: a few seconds per target keeps the corpus seeds honest
 # without turning CI into a fuzzing farm. Each -fuzz regex must match

@@ -5,17 +5,17 @@
 //
 // cmd/vyrdbench produces the paper-shaped table renderings; these
 // benchmarks expose the same measurements through `go test -bench`.
+// Pipeline, codec and replay throughput are the benchmark's metrics
+// (`go run ./benchmark`: online_methods_per_s, event.encode_ns,
+// replay_refine_entries_per_s), not go-bench legs here.
 package repro
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/event"
 	"repro/internal/harness"
 	"repro/internal/spec"
 	"repro/vyrd"
@@ -279,164 +279,6 @@ func overlappedTrace(batches, width int) []vyrd.Entry {
 	}
 	log.Close()
 	return log.Snapshot()
-}
-
-// BenchmarkOnlinePipeline measures the full online checking pipeline over
-// the bounded-memory log: harness threads appending through the lock-free
-// segmented log with a truncation window while the verification thread
-// replays view refinement concurrently. Reported metrics are the log
-// entries checked per second and the peak entries retained (which stays
-// O(window) no matter how long the run is). The sink variant additionally
-// attaches a persisting encoder sink and reports bytes/entry.
-func BenchmarkOnlinePipeline(b *testing.B) {
-	s, _ := bench.SubjectByName("Multiset-Vector")
-	run := func(b *testing.B, attach bool) {
-		cfg := benchConfig(4, 2000, 1, vyrd.LevelView)
-		cfg.LogOptions = vyrd.LogOptions{SegmentSize: 256, Window: 1 << 12}
-		b.ReportAllocs()
-		var entries, peak, lag, sunk int64
-		for i := 0; i < b.N; i++ {
-			log := vyrd.NewLogWith(cfg.Level, cfg.LogOptions)
-			var cw countingWriter
-			if attach {
-				if err := log.AttachSink(&cw); err != nil {
-					b.Fatal(err)
-				}
-			}
-			wait, err := log.StartChecker(s.Correct.NewSpec(),
-				vyrd.WithMode(core.ModeView), vyrd.WithReplayer(s.Correct.NewReplayer()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			harness.RunOnLog(s.Correct, cfg, log)
-			if rep := wait(); !rep.Ok() {
-				b.Fatalf("unexpected violations:\n%s", rep)
-			}
-			if attach {
-				if err := log.SinkErr(); err != nil {
-					b.Fatal(err)
-				}
-				sunk += cw.n
-			}
-			st := log.Stats()
-			entries += st.Appends
-			if st.PeakRetainedEntries > peak {
-				peak = st.PeakRetainedEntries
-			}
-			if st.MaxVerifierLag > lag {
-				lag = st.MaxVerifierLag
-			}
-		}
-		b.ReportMetric(float64(entries)/b.Elapsed().Seconds(), "entries/sec")
-		b.ReportMetric(float64(peak), "peak-retained-entries")
-		b.ReportMetric(float64(lag), "max-verifier-lag")
-		if attach && entries > 0 {
-			b.ReportMetric(float64(sunk)/float64(entries), "bytes/entry")
-		}
-	}
-	b.Run("nosink", func(b *testing.B) { run(b, false) })
-	b.Run("sink", func(b *testing.B) { run(b, true) })
-}
-
-// countingWriter discards its input, keeping only the byte count — the
-// sink target for throughput benchmarks that must not measure disk.
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-// codecTrace records one BLinkTree workload and returns the entries plus
-// their persisted encoding — the shared fixture for the codec and
-// offline-replay benchmarks.
-func codecTrace(b *testing.B) (entries []vyrd.Entry, stream []byte) {
-	b.Helper()
-	s, _ := bench.SubjectByName("BLinkTree")
-	res := harness.Run(s.Correct, benchConfig(8, 500, 1, vyrd.LevelView))
-	entries = res.Log.Snapshot()
-	var buf bytes.Buffer
-	enc := event.NewEncoder(&buf)
-	for _, e := range entries {
-		if err := enc.Encode(e); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return entries, buf.Bytes()
-}
-
-// BenchmarkCodec is the pure serialization cost: encode and decode one
-// recorded trace. bytes/entry makes the size visible alongside the speed
-// and allocations.
-func BenchmarkCodec(b *testing.B) {
-	entries, stream := codecTrace(b)
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			enc := event.NewEncoder(io.Discard)
-			for _, e := range entries {
-				if err := enc.Encode(e); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(float64(len(stream))/float64(len(entries)), "bytes/entry")
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dec := event.NewDecoder(bytes.NewReader(stream))
-			n := 0
-			for {
-				if _, err := dec.Decode(); err == io.EOF {
-					break
-				} else if err != nil {
-					b.Fatal(err)
-				}
-				n++
-			}
-			if n != len(entries) {
-				b.Fatalf("decoded %d of %d entries", n, len(entries))
-			}
-		}
-	})
-}
-
-// BenchmarkOfflineReplay measures end-to-end offline verification from a
-// persisted stream — decode plus view-mode check — with the stream decoded
-// sequentially and on the parallel worker pool feeding the sequential
-// checker (CheckStream). The headline metric is entries/sec of persisted
-// log replayed.
-func BenchmarkOfflineReplay(b *testing.B) {
-	entries, stream := codecTrace(b)
-	s, _ := bench.SubjectByName("BLinkTree")
-	check := func(b *testing.B, rep *vyrd.Report, err error) {
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Ok() {
-			b.Fatalf("unexpected violations:\n%s", rep)
-		}
-	}
-	opts := func() []vyrd.Option {
-		return []vyrd.Option{vyrd.WithMode(vyrd.ModeView), vyrd.WithReplayer(s.Correct.NewReplayer())}
-	}
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rep, err := vyrd.CheckStream(bytes.NewReader(stream), 1, s.Correct.NewSpec(), opts()...)
-			check(b, rep, err)
-		}
-		b.ReportMetric(float64(len(entries)*b.N)/b.Elapsed().Seconds(), "entries/sec")
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rep, err := vyrd.CheckStream(bytes.NewReader(stream), 0, s.Correct.NewSpec(), opts()...)
-			check(b, rep, err)
-		}
-		b.ReportMetric(float64(len(entries)*b.N)/b.Elapsed().Seconds(), "entries/sec")
-	})
 }
 
 // BenchmarkAblationDiagnostics measures the cost of keeping viewS clones

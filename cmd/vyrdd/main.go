@@ -18,8 +18,8 @@
 //
 // The fleet tier:
 //
-//	-workers N       multiplex all sessions over an N-worker checker
-//	                 pool (0 = one goroutine pipeline per session)
+//	-workers N       size of the checker pool all sessions time-slice
+//	                 over (default GOMAXPROCS)
 //	-slice N         scheduler time-slice budget, entries per turn
 //	-max-sessions/-max-eps/-max-window-bytes
 //	                 per-tenant quotas (admission, ingest rate, window
@@ -36,6 +36,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 
@@ -59,7 +60,7 @@ func run(args []string) int {
 		quiet    = fs.Bool("quiet", false, "suppress per-connection logging")
 		list     = fs.Bool("list", false, "list served specs and exit")
 
-		workers     = fs.Int("workers", 0, "checker pool size: sessions time-slice over this many workers (0 = goroutine per session)")
+		workers     = fs.Int("workers", runtime.GOMAXPROCS(0), "checker pool size: sessions time-slice over this many workers")
 		slice       = fs.Int("slice", 0, "scheduler slice budget in entries (0 = default)")
 		maxSessions = fs.Int("max-sessions", 0, "per-tenant concurrent session quota (0 = unlimited)")
 		maxEPS      = fs.Int("max-eps", 0, "per-tenant ingest rate quota, entries/sec (0 = unlimited)")

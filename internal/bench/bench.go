@@ -1,7 +1,11 @@
-// Package bench regenerates the paper's evaluation tables (Section 7): the
-// time-to-detection comparison of I/O vs view refinement (Table 1), the
-// logging overhead by level (Table 2), and the running-time breakdown of
-// program / logging / online checking / offline checking (Table 3).
+// Package bench holds the subject registry — every evaluation subject with
+// its correct and buggy targets, exploration spec, linearizability model and
+// built-in temporal properties, plus the differential oracles that hold the
+// verdict engines equal on them — and regenerates the paper's evaluation
+// tables (Section 7): the time-to-detection comparison of I/O vs view
+// refinement (Table 1), the logging overhead by level (Table 2), and the
+// running-time breakdown of program / logging / online checking / offline
+// checking (Table 3). Performance measurement lives in benchmark/.
 //
 // Absolute times are this machine's, not the paper's 2.4 GHz Pentium; the
 // comparisons of interest are the shapes: view refinement detects

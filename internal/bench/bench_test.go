@@ -5,11 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/racecheck"
+	"repro/vyrd"
 )
 
-// The bench package is exercised at full scale by cmd/vyrdbench; these
+// The paper tables are exercised at full scale by cmd/vyrdbench; these
 // tests validate the machinery at miniature scale.
 
 func TestSubjectsComplete(t *testing.T) {
@@ -119,5 +121,41 @@ func TestTable3Runs(t *testing.T) {
 	WriteTable3(&buf, rows)
 	if !strings.Contains(buf.String(), "Running time breakdown") {
 		t.Fatalf("rendering: %s", buf.String())
+	}
+}
+
+// TestLogPipelineBoundedRetention is the end-to-end acceptance check for the
+// bounded-memory online mode: a full harness run with view-level online
+// checking over a windowed, truncating log must check clean, retain at most
+// Window plus two segments of entries at its peak, and actually release
+// storage along the way.
+func TestLogPipelineBoundedRetention(t *testing.T) {
+	opts := vyrd.LogOptions{SegmentSize: 128, Window: 1 << 10}
+	bound := int64(opts.Window + 2*opts.SegmentSize)
+	for _, name := range []string{"Multiset-Vector", "Multiset-Array"} {
+		s, _ := SubjectByName(name)
+		target := s.Correct
+		cfg := baseConfig(4, 800, 1, vyrd.LevelView)
+		log := vyrd.NewLogWith(cfg.Level, opts)
+		wait, err := log.StartChecker(target.NewSpec(),
+			core.WithMode(core.ModeView), core.WithReplayer(target.NewReplayer()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		harness.RunOnLog(target, cfg, log)
+		rep, stats := wait(), log.Stats()
+		if !rep.Ok() {
+			t.Errorf("%s: online check reported a violation on a correct subject: %s", name, rep)
+		}
+		if stats.PeakRetainedEntries > bound {
+			t.Errorf("%s: peak retained %d entries exceeds bound %d (stats: %s)",
+				name, stats.PeakRetainedEntries, bound, stats)
+		}
+		if stats.TruncatedSegments == 0 {
+			t.Errorf("%s: truncation never released a segment (stats: %s)", name, stats)
+		}
+		if stats.Appends == 0 {
+			t.Errorf("%s: no entries logged", name)
+		}
 	}
 }

@@ -1,20 +1,13 @@
 package bench
 
-import (
-	"fmt"
-	"io"
-	"text/tabwriter"
-
-	"repro/internal/explore"
-	"repro/internal/sched"
-)
+import "repro/internal/sched"
 
 // ExploreSpec returns the base schedule-exploration spec for a subject:
 // the harness shape (threads/ops/pool) and PCT parameters (d, k) that
-// vyrdx, the exploration bench rows, and the CI smoke all share, so a
-// repro string printed by one replays under the others. K is sized to the
-// observed schedule lengths of each shape (a few probe yields per op per
-// thread, plus daemon passes).
+// vyrdx, the benchmark's explore-search workload and the CI smoke all
+// share, so a repro string printed by one replays under the others. K is
+// sized to the observed schedule lengths of each shape (a few probe yields
+// per op per thread, plus daemon passes).
 func ExploreSpec(subject string) sched.Spec {
 	sp := sched.Spec{Subject: subject, Threads: 3, Ops: 8, KeyPool: 4, D: 3, K: 300}
 	switch subject {
@@ -42,102 +35,6 @@ func ExploreSpec(subject string) sched.Spec {
 	return sp
 }
 
-// ExploreRow is one subject x strategy schedule-exploration summary: the
-// budget, where the first violation was found (0 = not found), the
-// exploration throughput and class coverage, and what the shrinker did to
-// the violating schedule.
-type ExploreRow struct {
-	Subject         string
-	BugName         string
-	Strategy        string  // "pct" or "dpor"
-	Budget          int     // schedule budget given to exploration
-	FoundAt         int     // 1-based schedule index of first violation; 0 = none
-	Violation       string  // kind of the first violation
-	SchedulesPerSec float64 `json:"SchedulesPerSec"`
-	// Classes counts distinct Mazurkiewicz equivalence classes among the
-	// schedules run before stopping: schedules-per-class is the dedup
-	// overhead of a strategy (PCT re-runs equivalent schedules; DPOR aims
-	// for one schedule per class).
-	Classes int
-	// Pruned counts sleep-set-pruned schedules (DPOR only).
-	Pruned int
-	// Exhausted is true when DPOR emptied its frontier within the budget.
-	Exhausted   bool  `json:",omitempty"`
-	StepsBefore int64 // violating schedule length before shrinking
-	StepsAfter  int64 // and after
-	Repro       string
-}
-
-// ExploreStrategies are the search strategies the explore table compares.
+// ExploreStrategies are the search strategies the strategy-differential
+// suite holds against each other.
 var ExploreStrategies = []string{"pct", sched.StrategyDPOR}
-
-// ExploreTable runs schedule exploration over every planted-bug subject —
-// the lock-based exploration set plus the weak-memory atomics set — under
-// both strategies with the given budget, shrinking each violating schedule.
-// Rows come out grouped by subject, PCT before DPOR, so the per-subject A/B
-// reads top-to-bottom.
-func ExploreTable(budget int) ([]ExploreRow, error) {
-	var rows []ExploreRow
-	subjects := append(ExplorationSubjects(), WeakMemorySubjects()...)
-	for _, s := range subjects {
-		for _, strat := range ExploreStrategies {
-			base := ExploreSpec(s.Name)
-			var found *explore.Found
-			var st explore.Stats
-			var err error
-			if strat == sched.StrategyDPOR {
-				found, st, err = explore.ExploreDPOR(s.Buggy, base, budget)
-			} else {
-				found, st, err = explore.Explore(s.Buggy, base, budget)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", s.Name, strat, err)
-			}
-			row := ExploreRow{
-				Subject:         s.Name,
-				BugName:         s.BugName,
-				Strategy:        strat,
-				Budget:          budget,
-				SchedulesPerSec: st.SchedulesPerSec(),
-				Classes:         st.Classes,
-				Pruned:          st.Pruned,
-				Exhausted:       st.Exhausted,
-			}
-			if found != nil {
-				row.FoundAt = found.SchedulesTried
-				row.Violation = found.Run.FirstKind().String()
-				min, shr, err := explore.ShrinkRun(s.Buggy, found.Run)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s: shrink: %w", s.Name, strat, err)
-				}
-				row.StepsBefore = shr.StepsBefore
-				row.StepsAfter = shr.StepsAfter
-				row.Repro = min.Spec.Repro()
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// WriteExploreTable renders the exploration rows.
-func WriteExploreTable(w io.Writer, rows []ExploreRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Subject\tBug\tStrategy\tFound at\tClasses\tSched/s\tShrink (steps)\tViolation")
-	for _, r := range rows {
-		found := "not found"
-		shrink := "-"
-		if r.FoundAt > 0 {
-			found = fmt.Sprintf("schedule %d/%d", r.FoundAt, r.Budget)
-			shrink = fmt.Sprintf("%d -> %d", r.StepsBefore, r.StepsAfter)
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%.0f\t%s\t%s\n",
-			r.Subject, r.BugName, r.Strategy, found, r.Classes, r.SchedulesPerSec, shrink, r.Violation)
-	}
-	tw.Flush()
-	for _, r := range rows {
-		if r.Repro != "" {
-			fmt.Fprintf(w, "repro %s (%s): %s\n", r.Subject, r.Strategy, r.Repro)
-		}
-	}
-}

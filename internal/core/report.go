@@ -145,10 +145,10 @@ type Report struct {
 // without failure.
 func (r *Report) Ok() bool { return r.TotalViolations == 0 && r.LogErr == "" }
 
-// Summary is the compact machine-readable digest of a Report: one
-// serialization shared by every surface that reports verdicts as JSON (the
-// vyrdd /metrics endpoint, vyrdbench -json snapshot rows), so dashboards
-// parse a single shape regardless of which tool produced it.
+// Summary is the compact machine-readable digest of a Report: the one
+// serialization of a verdict's counters as JSON (the vyrdd /metrics
+// endpoint, the benchmark's result files), so dashboards parse a single
+// shape.
 type Summary struct {
 	Mode             Mode  `json:"mode"`
 	Ok               bool  `json:"ok"`

@@ -1,9 +1,7 @@
 package event
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -23,9 +21,9 @@ import (
 //
 // Strings are uvarint length + raw bytes. Values are a tag byte followed by
 // the tag-specific payload; the common logged types (ints, strings, bools,
-// byte buffers, int/string slices, Exceptional) encode natively and any
-// other registered type (RegisterValue) falls back to a self-contained gob
-// blob. The frame shape is what makes parallel offline decode possible:
+// byte buffers, int/string slices, Exceptional) are the whole vocabulary:
+// the encoder refuses any other type by name, and the decoder refuses any
+// other tag. The frame shape is what makes parallel offline decode possible:
 // frame scanning only reads length prefixes, so a single reader can slice
 // the stream into batches for a decode worker pool (parallel.go) while the
 // checker consumes entries strictly in order.
@@ -75,7 +73,10 @@ const (
 	tagInts
 	tagStrings
 	tagExceptional
-	tagGob // registered custom type: uvarint length + fresh gob stream
+	// 10 is reserved: streams written before the gob fallback for custom
+	// types was retired may carry it, so it is rejected on decode and
+	// never reassigned.
+	_
 )
 
 // appendFrame appends the framed version-3 encoding of e (length prefix,
@@ -220,6 +221,9 @@ func appendValues(buf []byte, vs []Value) ([]byte, error) {
 	return buf, nil
 }
 
+// valueVocabulary names the closed set of types appendValue encodes.
+const valueVocabulary = "nil, int, int64, string, bool, []byte, []int, []string, event.Exceptional"
+
 func appendValue(buf []byte, v Value) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
@@ -253,15 +257,7 @@ func appendValue(buf []byte, v Value) ([]byte, error) {
 	case Exceptional:
 		return appendString(append(buf, tagExceptional), x.Reason), nil
 	default:
-		// Registered custom type: self-contained gob blob. Cold path — the
-		// default value vocabulary covers everything the built-in subjects
-		// log.
-		var blob bytes.Buffer
-		if err := gob.NewEncoder(&blob).Encode(&v); err != nil {
-			return buf, fmt.Errorf("encode value %T: %w (missing event.RegisterValue?)", v, err)
-		}
-		buf = binary.AppendUvarint(append(buf, tagGob), uint64(blob.Len()))
-		return append(buf, blob.Bytes()...), nil
+		return buf, fmt.Errorf("encode value of type %T: not in the log value vocabulary (%s)", v, valueVocabulary)
 	}
 }
 
@@ -456,16 +452,6 @@ func takeValue(p []byte) (Value, []byte, error) {
 	case tagExceptional:
 		reason, p, err := takeString(p)
 		return Exceptional{Reason: reason}, p, err
-	case tagGob:
-		blob, p, err := takeBytes(p)
-		if err != nil {
-			return nil, p, err
-		}
-		var v Value
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
-			return nil, p, fmt.Errorf("gob value: %w", err)
-		}
-		return v, p, nil
 	default:
 		return nil, p, fmt.Errorf("unknown value tag %d", tag)
 	}

@@ -2,7 +2,6 @@ package event
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -23,7 +22,7 @@ import (
 // the retired gob version 1, fails with ErrFormatMismatch instead of an
 // opaque decode error deep in the stream. Bump FormatVersion whenever the
 // binary wire shape of Entry changes; committed artifacts are regenerated
-// with `go generate ./vyrd` (see cmd/genfig6).
+// with `go generate ./vyrd` (see vyrd/gen_fig6.go).
 
 // FormatVersion is the log stream format the encoder writes. Version
 // history:
@@ -62,26 +61,6 @@ func CheckVersion(v byte) error {
 	return fmt.Errorf("%w: stream has format version %d, this build reads versions %d-%d%s",
 		ErrFormatMismatch, v, formatVersionNoCRC, FormatVersion, hint)
 }
-
-func init() {
-	// Concrete types that may appear in Entry.Args/Entry.Ret. Anything else
-	// must be registered by the package that logs it (RegisterValue). The
-	// binary codec encodes these natively and falls back to a per-value gob
-	// blob for registered custom types.
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register("")
-	gob.Register(false)
-	gob.Register([]byte(nil))
-	gob.Register([]int(nil))
-	gob.Register([]string(nil))
-	gob.Register(Exceptional{})
-}
-
-// RegisterValue registers a concrete value type for log persistence. It must
-// be called (typically from an init function) by any package that logs
-// values of types not covered by the defaults.
-func RegisterValue(v Value) { gob.Register(v) }
 
 // Encoder serializes entries to a stream, prefixed with the format header.
 type Encoder struct {

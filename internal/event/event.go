@@ -54,9 +54,11 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Value is a logged argument, return value or written datum. Concrete types
-// stored in a Value that the codec does not encode natively must be
-// registered (RegisterValue, see codec.go) if the log is persisted.
+// Value is a logged argument, return value or written datum. In-memory
+// checking accepts any concrete type; a log that is persisted or shipped
+// (AttachSink, AttachRemote) encodes only the closed vocabulary nil, int,
+// int64, string, bool, []byte, []int, []string and Exceptional, and refuses
+// anything else at encode time with an error naming the type (binary.go).
 type Value = any
 
 // Entry is one logged action. Seq is assigned by the log at append time and

@@ -1,9 +1,55 @@
 package event
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 )
+
+// reservedTagFrame returns a well-formed, correctly checksummed frame for
+// entry #seq whose return value carries the reserved tag 10 over blob —
+// byte for byte the shape the retired gob fallback wrote (tag, uvarint
+// length, blob), so nothing but the tag check can reject it.
+func reservedTagFrame(tb testing.TB, seq int64, blob []byte) []byte {
+	tb.Helper()
+	buf, err := appendPayload([]byte{0, 0, 0}, Entry{Seq: seq, Tid: 1, Kind: KindReturn, Method: "M", Ret: blob})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tagAt := len(buf) - len(blob) - len(binary.AppendUvarint(nil, uint64(len(blob)))) - 1
+	if buf[tagAt] != tagBytes {
+		tb.Fatalf("payload layout changed: byte %d is %d, want the []byte tag", tagAt, buf[tagAt])
+	}
+	buf[tagAt] = 10
+	return sealFrameCRC(buf, 0, 3)
+}
+
+// TestReservedValueTagRejected: value tag 10 is refused by every decoder
+// with an error, and an unsupported Go type is refused by the encoder with
+// an error naming it.
+func TestReservedValueTagRejected(t *testing.T) {
+	frame := reservedTagFrame(t, 1, []byte("\x0c\xff\x81gob"))
+	if _, _, err := DecodeEntryFrame(frame); err == nil || !strings.Contains(err.Error(), "unknown value tag 10") {
+		t.Fatalf("DecodeEntryFrame(tag 10) = %v, want unknown value tag 10", err)
+	}
+	stream := append(append([]byte(formatMagic), FormatVersion), frame...)
+	if _, err := NewDecoder(bytes.NewReader(stream)).Decode(); err == nil {
+		t.Fatal("stream decoder accepted value tag 10")
+	}
+	if _, err := DecodeAllParallel(bytes.NewReader(stream), 2); err == nil {
+		t.Fatal("parallel decoder accepted value tag 10")
+	}
+	if res := ScanRecover(stream); len(res.Entries) != 0 {
+		t.Fatalf("recovery kept %d entries of a tag-10 stream", len(res.Entries))
+	}
+
+	_, err := AppendEntryFrame(nil, Entry{Seq: 1, Kind: KindCall, Method: "M", Args: []Value{struct{}{}}})
+	if err == nil || !strings.Contains(err.Error(), "struct {}") || !strings.Contains(err.Error(), valueVocabulary) {
+		t.Fatalf("encoding struct{}{} = %v, want an error naming the type and the vocabulary", err)
+	}
+}
 
 // decodeStream runs the frame decoder to exhaustion over buf, enforcing
 // the properties the network ingest path depends on: the decoder never
@@ -86,6 +132,12 @@ func FuzzTornFrames(f *testing.F) {
 					t.Fatalf("cut at %d decoded %d entries with no error", c, n)
 				}
 			}
+		}
+
+		// The reserved value tag over the fuzz-chosen blob, correctly
+		// framed and checksummed, is an error rather than a decode.
+		if _, err := decodeStream(t, reservedTagFrame(t, 1, barg)); err == nil || errors.Is(err, ErrShortFrame) {
+			t.Fatalf("value tag 10 over %x decoded with %v", barg, err)
 		}
 
 		// One fuzz-chosen tear plus a byte flip: corruption may misparse a

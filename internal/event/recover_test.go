@@ -172,6 +172,7 @@ func FuzzRecoverArbitraryBytes(f *testing.F) {
 	f.Add([]byte("VYRDLOG\x03garbage"))
 	f.Add([]byte("VYRDLOG\x01gobgobgob"))
 	f.Add([]byte("not a log at all"))
+	f.Add(append(append([]byte(nil), valid...), reservedTagFrame(f, 7, []byte("gob"))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res := ScanRecover(data)
 		if res.BytesKept < 0 || res.BytesKept > int64(len(data)) {

@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -586,6 +587,30 @@ func waitSession(t *testing.T, cl *remote.Client) {
 			t.Fatal("session never established")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestZeroOptionsServeThroughScheduler pins that there is one session
+// engine: a server built from zero options runs its sessions on a
+// GOMAXPROCS-wide scheduler pool, and a session's verdict is a task the
+// pool finished.
+func TestZeroOptionsServeThroughScheduler(t *testing.T) {
+	srv, addr := startServer(t, remote.ServerOptions{})
+	st := srv.Metrics().Sched
+	if st == nil || st.Workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("zero-value server pool = %+v, want %d workers", st, runtime.GOMAXPROCS(0))
+	}
+	cl, err := remote.NewClient(remote.ClientOptions{
+		Addr:  addr,
+		Hello: remote.Hello{Spec: "multiset", Mode: "io"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := multisetTrace(40, false)
+	shipAll(t, cl, trace)
+	if st := srv.Metrics().Sched; st.Finished != 1 || st.EntriesFed != int64(len(trace)) {
+		t.Fatalf("session did not run on the pool: %+v", st)
 	}
 }
 

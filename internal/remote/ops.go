@@ -58,9 +58,9 @@ func wantsProm(r *http.Request) bool {
 	return strings.Contains(accept, "text/plain") && !strings.Contains(accept, "application/json")
 }
 
-// PromText renders a metrics snapshot in the Prometheus text exposition
-// format (version 0.0.4): the server totals, the scheduler pool gauges
-// when present, and the per-tenant counters labeled by tenant token.
+// PromText renders a Server.Metrics snapshot in the Prometheus text
+// exposition format (version 0.0.4): the server totals, the scheduler pool
+// gauges, and the per-tenant counters labeled by tenant token.
 func PromText(m Metrics) string {
 	var b strings.Builder
 	g := func(name, help string, v float64) {
@@ -83,17 +83,15 @@ func PromText(m Metrics) string {
 	}
 	g("vyrd_window_bytes", "Retained window memory across live session logs.", float64(windowBytes))
 
-	if m.Sched != nil {
-		st := *m.Sched
-		g("vyrd_sched_workers", "Checker pool size.", float64(st.Workers))
-		g("vyrd_sched_busy_workers", "Workers currently mid-slice.", float64(st.Busy))
-		g("vyrd_sched_runnable_sessions", "Sessions queued with pending entries.", float64(st.Runnable))
-		g("vyrd_sched_tasks", "Live scheduled sessions.", float64(st.Tasks))
-		g("vyrd_sched_pool_utilization", "Busy fraction of the checker pool (0..1).", st.Utilization())
-		c("vyrd_sched_slices_total", "Cooperative time slices executed.", float64(st.Slices))
-		c("vyrd_sched_entries_fed_total", "Entries fed through checker engines.", float64(st.EntriesFed))
-		c("vyrd_sched_tasks_finished_total", "Scheduled sessions drained to a verdict.", float64(st.Finished))
-	}
+	st := *m.Sched
+	g("vyrd_sched_workers", "Checker pool size.", float64(st.Workers))
+	g("vyrd_sched_busy_workers", "Workers currently mid-slice.", float64(st.Busy))
+	g("vyrd_sched_runnable_sessions", "Sessions queued with pending entries.", float64(st.Runnable))
+	g("vyrd_sched_tasks", "Live scheduled sessions.", float64(st.Tasks))
+	g("vyrd_sched_pool_utilization", "Busy fraction of the checker pool (0..1).", st.Utilization())
+	c("vyrd_sched_slices_total", "Cooperative time slices executed.", float64(st.Slices))
+	c("vyrd_sched_entries_fed_total", "Entries fed through checker engines.", float64(st.EntriesFed))
+	c("vyrd_sched_tasks_finished_total", "Scheduled sessions drained to a verdict.", float64(st.Finished))
 
 	if len(m.Tenants) > 0 {
 		family := func(name, typ, help string) {

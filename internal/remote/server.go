@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,15 +36,14 @@ type ServerOptions struct {
 	// DrainTimeout bounds Shutdown when its context has no earlier
 	// deadline (0 = DefaultDrainTimeout).
 	DrainTimeout time.Duration
-	// Workers > 0 switches session checking from goroutine-per-session
-	// to a fleet.Scheduler pool of that size: sessions become tasks,
-	// ingest wakes them, and a bounded worker set time-slices the
-	// runnable ones — the multi-tenant posture where thousands of
-	// mostly-idle sessions cost zero goroutines. 0 keeps the classic
-	// goroutine-per-session pipeline.
+	// Workers is the size of the fleet.Scheduler pool every session's
+	// checker runs on: sessions are tasks, ingest wakes them, and a
+	// bounded worker set time-slices the runnable ones, so thousands of
+	// mostly-idle sessions cost zero goroutines. <= 0 means
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// SliceBudget is the scheduler's per-slice entry budget
-	// (0 = fleet.DefaultSliceBudget); ignored without Workers.
+	// (0 = fleet.DefaultSliceBudget).
 	SliceBudget int
 	// Quotas is the per-tenant admission/fairness policy (zero values
 	// mean unlimited). Sessions are accounted under Hello.Tenant.
@@ -73,9 +73,9 @@ const (
 type Server struct {
 	opts ServerOptions
 
-	// sched is the bounded checker pool (nil in goroutine-per-session
-	// mode); tenants tracks per-tenant quotas; ring is the cluster
-	// placement function (nil when unclustered).
+	// sched is the bounded checker pool; tenants tracks per-tenant
+	// quotas; ring is the cluster placement function (nil when
+	// unclustered).
 	sched   *fleet.Scheduler
 	tenants *fleet.TenantTable
 	ring    *fleet.Ring
@@ -114,6 +114,9 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	if opts.DrainTimeout <= 0 {
 		opts.DrainTimeout = DefaultDrainTimeout
 	}
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
 	s := &Server{
 		opts:      opts,
 		tenants:   fleet.NewTenantTable(opts.Quotas),
@@ -135,9 +138,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		}
 		s.ring = ring
 	}
-	if opts.Workers > 0 {
-		s.sched = fleet.NewScheduler(opts.Workers, opts.SliceBudget)
-	}
+	s.sched = fleet.NewScheduler(opts.Workers, opts.SliceBudget)
 	return s, nil
 }
 
@@ -186,8 +187,9 @@ func (s *Server) isDraining() bool {
 }
 
 // session is one client log's checker pipeline on the server. Its log is a
-// windowed wal pipeline: ingest appends, the checker goroutine consumes
-// through a cursor, and the window is the backpressure that bounds memory.
+// windowed wal pipeline: ingest appends, the session's scheduler task
+// consumes through a cursor, and the window is the backpressure that bounds
+// memory.
 type session struct {
 	id      string
 	spec    string
@@ -202,10 +204,9 @@ type session struct {
 	log *wal.Log
 	// cur is the checker pipeline's reader; its Pos is the consumption
 	// mark that window-memory accounting subtracts from recv.
-	cur  wal.Reader
-	wait func() []core.ModuleReport
-	// task is the session's scheduler handle (nil in goroutine mode);
-	// ingest wakes it after every append.
+	cur wal.Reader
+	// task is the session's scheduler handle; ingest wakes it after every
+	// append.
 	task *fleet.Task
 
 	// recv is the highest contiguous client sequence number ingested; it
@@ -312,8 +313,8 @@ func (p *sessionEngine) Finish() []core.ModuleReport {
 }
 
 // newSession builds a session for a validated handshake: a windowed log,
-// the checker (or modular fan-out) over the named spec, and the pipeline
-// goroutine consuming the log's cursor.
+// the checker (or modular fan-out) over the named spec, and the scheduler
+// task that runs it in cooperative slices on the shared worker pool.
 func (s *Server) newSession(h Hello) (*session, error) {
 	f, ok := s.opts.Registry.Lookup(h.Spec)
 	if !ok {
@@ -405,41 +406,9 @@ func (s *Server) newSession(h Hello) (*session, error) {
 		ackEvery:   int64(s.opts.AckEvery),
 	}
 
-	if s.sched != nil {
-		// Scheduler mode: the session is a task; its checker runs in
-		// cooperative slices on the shared worker pool. The reader is
-		// only ever touched by the worker holding the task.
-		engine := &sessionEngine{multi: multi, checker: checker, cur: cur}
-		ss.task = s.sched.Register(ss.tenantName, cur, engine, ss.recv.Load, nil)
-		ss.wait = ss.task.Wait
-	} else {
-		// Goroutine mode: the classic one-pipeline-per-session shape.
-		done := make(chan []core.ModuleReport, 1)
-		if multi != nil {
-			m := multi
-			go func() { done <- m.Run(cur) }()
-		} else {
-			c := checker
-			go func() {
-				rep := core.RunChecker(c, cur)
-				// A fail-fast or violated checker stops consuming early;
-				// keep draining the cursor so the window never wedges
-				// the ingest loop (remaining entries are discarded, the
-				// verdict is already decided).
-				for {
-					if _, ok := cur.Next(); !ok {
-						break
-					}
-				}
-				done <- []core.ModuleReport{{Report: rep}}
-			}()
-		}
-		ss.wait = func() []core.ModuleReport {
-			reports := <-done
-			done <- reports // re-arm for idempotent waits
-			return reports
-		}
-	}
+	// The reader is only ever touched by the worker holding the task.
+	engine := &sessionEngine{multi: multi, checker: checker, cur: cur}
+	ss.task = s.sched.Register(ss.tenantName, cur, engine, ss.recv.Load, nil)
 
 	if h.Window > 0 && int64(h.Window/4) < ss.ackEvery {
 		ss.ackEvery = int64(h.Window / 4)
@@ -452,10 +421,8 @@ func (s *Server) newSession(h Hello) (*session, error) {
 	if s.draining {
 		s.mu.Unlock()
 		lg.Close()
-		if ss.task != nil {
-			ss.task.Close(0)
-			ss.task.Wait()
-		}
+		ss.task.Close(0)
+		ss.task.Wait()
 		return nil, fmt.Errorf("server is draining")
 	}
 	s.nextID++
@@ -497,13 +464,11 @@ func (ss *session) ingest(payload []byte) (int64, error) {
 		ss.log.Append(e)
 		ss.recv.Store(e.Seq)
 		ss.bytesIn.Add(int64(frameLen))
-		if ss.task != nil {
-			// Wake after every append, not per batch: if the next Append
-			// parks on a full window, the entries already published must
-			// each have had their wake, or an idle task would never
-			// drain them and the ingest loop would wedge.
-			ss.task.Wake()
-		}
+		// Wake after every append, not per batch: if the next Append
+		// parks on a full window, the entries already published must
+		// each have had their wake, or an idle task would never drain
+		// them and the ingest loop would wedge.
+		ss.task.Wake()
 		n++
 	}
 	return n, nil
@@ -518,12 +483,10 @@ func (ss *session) finish() []core.ModuleReport {
 	if !ss.finished {
 		ss.finished = true
 		ss.log.Close()
-		if ss.task != nil {
-			// Tell the scheduler where the stream ends; a worker drains
-			// the tail and finishes the engine.
-			ss.task.Close(ss.recv.Load())
-		}
-		ss.reports = ss.wait()
+		// Tell the scheduler where the stream ends; a worker drains the
+		// tail and finishes the engine.
+		ss.task.Close(ss.recv.Load())
+		ss.reports = ss.task.Wait()
 	}
 	return ss.reports
 }
@@ -813,10 +776,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 
 	s.connWG.Wait()
-	if s.sched != nil {
-		// Every session is finished by now, so the pool's queue is dry.
-		s.sched.Stop()
-	}
+	// Every session is finished by now, so the pool's queue is dry.
+	s.sched.Stop()
 	return ctx.Err()
 }
 
@@ -862,7 +823,7 @@ type SessionMetrics struct {
 }
 
 // SessionReport pairs a module name with its report summary — the shared
-// core.Summary serialization (vyrdbench -json emits the same shape).
+// core.Summary serialization.
 type SessionReport struct {
 	Module string       `json:"module,omitempty"`
 	Report core.Summary `json:"report"`
@@ -876,7 +837,7 @@ type Metrics struct {
 	SessionsFinished int64   `json:"sessions_finished"`
 	EntriesTotal     int64   `json:"entries_total"`
 	ViolationsTotal  int64   `json:"violations_total"`
-	// Sched is the checker pool snapshot (nil in goroutine mode).
+	// Sched is the checker pool snapshot.
 	Sched *fleet.SchedStats `json:"sched,omitempty"`
 	// Tenants lists per-tenant admission/throttle counters with their
 	// live retained-window bytes overlaid.
@@ -936,10 +897,8 @@ func (s *Server) Metrics() Metrics {
 	}
 	m.Finished = append(m.Finished, s.recent...)
 	s.mu.Unlock()
-	if s.sched != nil {
-		st := s.sched.Stats()
-		m.Sched = &st
-	}
+	st := s.sched.Stats()
+	m.Sched = &st
 	m.Tenants = s.tenants.Snapshot()
 	for i := range m.Tenants {
 		m.Tenants[i].WindowBytes = windowByTenant[m.Tenants[i].Tenant]

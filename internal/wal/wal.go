@@ -183,9 +183,8 @@ type segment struct {
 const freeListCap = 32
 
 // Stats is a point-in-time snapshot of the log's counters. The JSON tags
-// are the serialization shared by every machine-readable surface that
-// reports pipeline counters (vyrdbench -json snapshots, the vyrdd /metrics
-// endpoint).
+// are the serialization of the machine-readable surface that reports
+// pipeline counters (the vyrdd /metrics endpoint).
 type Stats struct {
 	// Appends is the number of entries appended (equals the highest
 	// reserved sequence number).

@@ -1,11 +1,14 @@
-// Command genfig6 regenerates the committed trace artifact
-// vyrd/testdata/fig6.log: the paper's Fig. 6 buggy-FindSlot execution,
-// recorded at view level through a log sink, with the trailing LookUp(5)
-// that exposes the lost element to I/O refinement.
+//go:build ignore
+
+// gen_fig6.go regenerates the committed trace artifacts under testdata/
+// (run by the go:generate lines in vyrd.go): the paper's Fig. 6
+// buggy-FindSlot execution, recorded at view level through a log sink, with
+// the trailing LookUp(5) that exposes the lost element to I/O refinement;
+// its one-byte-corrupted variant; and the annotation-free artifact.
 //
-// The artifact pins the persisted log format: TestPersistedFig6Artifact
-// decodes it offline and checks it in both modes. Regenerate it (and bump
-// event.FormatVersion) whenever the wire shape of event.Entry changes:
+// The artifacts pin the persisted log format: TestPersistedFig6Artifact
+// decodes fig6.log offline and checks it in both modes. Regenerate them (and
+// bump event.FormatVersion) whenever the wire shape of event.Entry changes:
 //
 //	go generate ./vyrd
 package main
@@ -23,10 +26,10 @@ import (
 )
 
 func main() {
-	out := flag.String("o", "vyrd/testdata/fig6.log", "output artifact path")
+	out := flag.String("o", "testdata/fig6.log", "output artifact path")
 	corruptAt := flag.Int("corrupt-at", -1, "after the self-check, XOR the byte at this offset (reproducible corrupted-artifact generation)")
 	corruptXor := flag.Int("corrupt-xor", 0x41, "XOR mask for -corrupt-at")
-	nocommit := flag.Bool("nocommit", false, "generate the annotation-free artifact instead (correct multiset, call/return-only instrumentation; pass -o vyrd/testdata/fig6_nocommit.log)")
+	nocommit := flag.Bool("nocommit", false, "generate the annotation-free artifact instead (correct multiset, call/return-only instrumentation; pass -o testdata/fig6_nocommit.log)")
 	flag.Parse()
 
 	if *nocommit {

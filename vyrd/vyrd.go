@@ -41,9 +41,9 @@ package vyrd
 // report byte-for-byte (fig6_v2.log and fig6_v1_gob.log are frozen
 // old-version artifacts, never regenerated: the first pins that version 2
 // still decodes, the second that version 1 is refused).
-//go:generate go run repro/cmd/genfig6 -o testdata/fig6.log
-//go:generate go run repro/cmd/genfig6 -o testdata/fig6_v3_corrupt.log -corrupt-at 120 -corrupt-xor 0x41
-//go:generate go run repro/cmd/genfig6 -nocommit -o testdata/fig6_nocommit.log
+//go:generate go run gen_fig6.go -o testdata/fig6.log
+//go:generate go run gen_fig6.go -o testdata/fig6_v3_corrupt.log -corrupt-at 120 -corrupt-xor 0x41
+//go:generate go run gen_fig6.go -nocommit -o testdata/fig6_nocommit.log
 
 import (
 	"io"
@@ -217,6 +217,3 @@ func Witness(entries []Entry) []WitnessEntry { return core.Witness(entries) }
 // trace spans — the paper's Section 4.1 workflow for debugging commit-point
 // selection.
 func WriteWitness(w io.Writer, entries []Entry) { core.WriteWitness(w, entries) }
-
-// RegisterValue registers a concrete value type for log persistence.
-func RegisterValue(v Value) { event.RegisterValue(v) }

@@ -157,6 +157,44 @@ func TestPersistAndReload(t *testing.T) {
 	}
 }
 
+// TestUnsupportedValueFailsSinkNotChecker pins the closed value vocabulary
+// of the persisted format: a logged value of a type the codec does not
+// encode fails the sink at encode time, through SinkErr, with the type
+// named — while the in-memory log and its checker, which never encode,
+// handle the same entry as before.
+func TestUnsupportedValueFailsSinkNotChecker(t *testing.T) {
+	log := vyrd.NewLog(vyrd.LevelView)
+	var sunk bytes.Buffer
+	if err := log.AttachSink(&sunk); err != nil {
+		t.Fatal(err)
+	}
+	p := log.NewProbe()
+	inv := p.Call("Insert", 5)
+	p.Write("slot", struct{}{})
+	inv.Commit("inserted")
+	inv.Return(true)
+	inv = p.Call("LookUp", 5)
+	inv.Return(true)
+	log.Close()
+
+	err := log.SinkErr()
+	if err == nil {
+		t.Fatal("sink accepted a value outside the codec's vocabulary")
+	}
+	for _, want := range []string{"struct {}", "vocabulary", "[]string"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("sink error %q does not mention %q", err, want)
+		}
+	}
+	rep, err := vyrd.CheckEntries(log.Snapshot(), spec.NewMultiset(), vyrd.WithMode(vyrd.ModeIO))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() || rep.MethodsCompleted != 2 {
+		t.Fatalf("in-memory check disturbed by the unencodable entry:\n%s", rep)
+	}
+}
+
 func TestViolationSurfacesThroughFacade(t *testing.T) {
 	log := vyrd.NewLog(vyrd.LevelIO)
 	p := log.NewProbe()
